@@ -1,0 +1,93 @@
+"""SHA-256 of every artifact `koopnet pipeline` writes, for fixed configurations.
+
+Runs the pipeline for each configuration below in a temporary directory
+and prints one line per artifact: ``config  file  sha256``. Saving that
+output before a refactor and comparing after it shows whether the
+refactor changed any artifact byte:
+
+    python3 scripts/artifact_digest.py > golden.txt          # before
+    python3 scripts/artifact_digest.py --compare golden.txt  # after
+
+``--compare`` prints every file whose digest differs, is missing or is
+new, and exits 1 if there is any. ``--src`` picks the source tree
+koopnet is imported from (default: this checkout's ``src/``), so two
+checkouts can be compared without installing either. Stdlib only; each
+run is a separate ``python -m koopnet.cli`` process.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CONFIGS = {
+    **{f"bs-n100-seed{s}": ["--model", "bs", "--n", "100", "--steps", "4000",
+                            "--seed", str(s)] for s in range(4)},
+    "ifo-8x8-seed7": ["--model", "ifo", "--rows", "8", "--cols", "8",
+                      "--steps", "2500", "--seed", "7"],
+    "ifo-16x16-seed3": ["--model", "ifo", "--rows", "16", "--cols", "16",
+                        "--steps", "2000", "--seed", "3"],
+}
+
+
+def digests(src: Path) -> dict[tuple[str, str], str]:
+    """(config, file) -> sha256 hex digest of one pipeline run per config."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out: dict[tuple[str, str], str] = {}
+    with tempfile.TemporaryDirectory(prefix="koopnet-digest-") as tmp:
+        for name, args in CONFIGS.items():
+            run_dir = Path(tmp) / name
+            cmd = [sys.executable, "-m", "koopnet.cli", "pipeline", *args, "--out", str(run_dir)]
+            proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+            if proc.returncode != 0:
+                raise SystemExit(f"{name}: pipeline exited {proc.returncode}\n{proc.stderr}")
+            for path in sorted(run_dir.iterdir()):
+                out[name, path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return out
+
+
+def read_digests(path: Path) -> dict[tuple[str, str], str]:
+    out = {}
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if line.strip():
+            config, name, digest = line.split()
+            out[config, name] = digest
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--compare", type=Path, default=None,
+                   help="earlier output of this script to compare against")
+    p.add_argument("--src", type=Path, default=ROOT / "src",
+                   help="directory koopnet is imported from (default: %(default)s)")
+    args = p.parse_args(argv)
+
+    current = digests(args.src.resolve())
+    if args.compare is None:
+        for (config, name), digest in current.items():
+            print(f"{config}  {name}  {digest}")
+        return 0
+
+    golden = read_digests(args.compare)
+    differing = 0
+    for key in sorted(golden.keys() | current.keys()):
+        old, new = golden.get(key), current.get(key)
+        if old == new:
+            continue
+        differing += 1
+        state = "missing" if new is None else "new" if old is None else "changed"
+        print(f"{key[0]}  {key[1]}  {state}")
+    print(f"{differing} of {len(golden.keys() | current.keys())} files differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -40,7 +40,6 @@ class RunConfig:
     cols: int = 8
     epsilon: float = 0.145
     gamma: float = 2.0
-    e_crit: float = 1.0
     dt: float = 0.01
     boundary: str = "open"
     # bs
@@ -62,19 +61,20 @@ def _default_out() -> str:
     return os.environ.get(ENV_OUT, ".")
 
 
-def cmd_simulate(config: RunConfig) -> int:
+def _simulate(config: RunConfig) -> SnapshotMatrix:
+    """Run the configured model, write events.csv, snapshots.csv and
+    meta.csv to the output directory, and return the record."""
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     if config.model == "ifo":
         params = IfoParams(gamma=config.gamma, epsilon=config.epsilon,
-                           rows=config.rows, cols=config.cols, e_crit=config.e_crit,
+                           rows=config.rows, cols=config.cols,
                            dt=config.dt, boundary=config.boundary, seed=config.seed)
         snapshots, records = simulate_ifo(params, config.steps)
         kio.write_ifo_events(out / "events.csv", records)
         meta = {
             "model": "ifo", "rows": params.rows, "cols": params.cols,
-            "epsilon": params.epsilon, "gamma": params.gamma,
-            "e_crit": params.e_crit, "dt": params.dt,
+            "epsilon": params.epsilon, "gamma": params.gamma, "dt": params.dt,
             "boundary": params.boundary, "steps": config.steps,
             "seed": params.seed,
         }
@@ -90,6 +90,11 @@ def cmd_simulate(config: RunConfig) -> int:
         raise KoopnetError(f"unknown model {config.model!r}")
     kio.write_snapshots(out / "snapshots.csv", snapshots)
     kio.write_meta(out / "meta.csv", meta)
+    return snapshots
+
+
+def cmd_simulate(config: RunConfig) -> int:
+    _simulate(config)
     return 0
 
 
@@ -113,16 +118,22 @@ def cmd_analyze(snapshots_path: Path, config: RunConfig,
                 out_dir: Path | None = None, dt: float | None = None) -> int:
     snapshots_path = Path(snapshots_path)
     out = Path(out_dir) if out_dir is not None else snapshots_path.parent
-    out.mkdir(parents=True, exist_ok=True)
     if dt is None:
         meta_path = snapshots_path.parent / "meta.csv"
         dt = float(kio.read_meta(meta_path).get("dt", 1.0)) if meta_path.exists() else 1.0
-    snapshots = kio.read_snapshots(snapshots_path, dt=dt)
+    _analyze(kio.read_snapshots(snapshots_path, dt=dt), config, out)
+    return 0
 
+
+def _analyze(snapshots: SnapshotMatrix, config: RunConfig, out: Path) -> None:
+    """Windowed DMD of a record; writes the spectrum and mode files of
+    every window, amplitudes.csv, transition.csv and report.md to `out`."""
+    out.mkdir(parents=True, exist_ok=True)
     windows = ana.windowed_dmd(snapshots, window_len=config.window_len,
                                stride=config.stride, rank=config.rank)
     report = ana.detect_transition(windows, jump_threshold=config.jump_threshold)
 
+    labels = snapshots.node_labels()
     warnings: list[str] = []
     amp_rows = []
     for w in windows:
@@ -139,7 +150,6 @@ def cmd_analyze(snapshots_path: Path, config: RunConfig,
                       _spectrum_rows(w.result, w.slow_group, w.fast_group))
 
         mode_rows = []
-        labels = snapshots.node_labels()
         for rank_i, entry in enumerate(ana.dominant_modes(w.result, 5), start=1):
             for node, v in zip(labels, entry.mode):
                 mode_rows.append((f"dominant_{rank_i}", node,
@@ -171,7 +181,6 @@ def cmd_analyze(snapshots_path: Path, config: RunConfig,
 
     kio.atomic_write_text(out / "report.md",
                           _render_report(snapshots, windows, report, warnings))
-    return 0
 
 
 def _render_report(snapshots: SnapshotMatrix, windows, report, warnings) -> str:
@@ -220,11 +229,10 @@ def _render_report(snapshots: SnapshotMatrix, windows, report, warnings) -> str:
 
 
 def cmd_pipeline(config: RunConfig) -> int:
-    status = cmd_simulate(config)
-    if status != 0:
-        return status
-    return cmd_analyze(Path(config.output_dir) / "snapshots.csv", config,
-                       out_dir=config.output_dir)
+    """Simulate, then analyze the record in memory: the artifacts are
+    the same bytes `simulate` followed by `analyze` would write."""
+    _analyze(_simulate(config), config, Path(config.output_dir))
+    return 0
 
 
 def _add_sim_args(p: argparse.ArgumentParser) -> None:
@@ -235,7 +243,6 @@ def _add_sim_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cols", type=int, default=8)
     p.add_argument("--epsilon", type=float, default=0.145)
     p.add_argument("--gamma", type=float, default=2.0)
-    p.add_argument("--e-crit", type=float, default=1.0)
     p.add_argument("--dt", type=float, default=0.01)
     p.add_argument("--boundary", choices=["open", "periodic"], default="open")
     p.add_argument("--n", type=int, default=100, help="ring size (bs model)")
@@ -258,7 +265,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         output_dir=Path(args.out if args.out is not None else _default_out()),
         rows=getattr(args, "rows", 8), cols=getattr(args, "cols", 8),
         epsilon=getattr(args, "epsilon", 0.145), gamma=getattr(args, "gamma", 2.0),
-        e_crit=getattr(args, "e_crit", 1.0), dt=getattr(args, "dt", 0.01),
+        dt=getattr(args, "dt", 0.01),
         boundary=getattr(args, "boundary", "open"), n=getattr(args, "n", 100),
         window_len=getattr(args, "window_len", 200),
         stride=getattr(args, "stride", None),

@@ -25,9 +25,10 @@ class DmdResult:
     Modes (columns) have unit Euclidean norm; scale lives in the
     amplitudes. Entries are sorted by descending amplitude magnitude, so
     index 0 is the most dominant mode. `zero_flags[k]` marks a discrete
-    eigenvalue numerically indistinguishable from 0 (an infinitely fast
-    decaying direction); its continuous eigenvalue is NaN and it is
-    excluded from rate-based diagnostics.
+    eigenvalue numerically indistinguishable from 0, |lambda_k| <=
+    sqrt(eps) * max(1, max|lambda|) (an infinitely fast decaying
+    direction); its mode is the projected U_r w_k, its continuous
+    eigenvalue is NaN and it is excluded from rate-based diagnostics.
     """
 
     rank: int
@@ -57,8 +58,12 @@ def build_snapshot_pairs(snapshots: SnapshotMatrix) -> tuple[np.ndarray, np.ndar
 
 
 def _zero_tolerance(lambdas: np.ndarray) -> float:
+    """|lambda| at or below which an eigenvalue counts as zero:
+    sqrt(eps) * max(1, max|lambda|). Lifting a mode divides by lambda,
+    so its relative error grows like eps * max|lambda| / |lambda|; below
+    this bound that error would exceed sqrt(eps)."""
     scale = np.max(np.abs(lambdas)) if lambdas.size else 0.0
-    return np.finfo(float).eps * max(1.0, scale) * max(1, lambdas.size)
+    return np.sqrt(np.finfo(float).eps) * max(1.0, scale)
 
 
 def dmd(x: np.ndarray, xp: np.ndarray, rank: int | None = None, dt: float = 1.0) -> DmdResult:
@@ -67,9 +72,12 @@ def dmd(x: np.ndarray, xp: np.ndarray, rank: int | None = None, dt: float = 1.0)
     Truncates the SVD of x to min(requested rank, numerical rank at
     tolerance sigma_max * max(dims) * machine epsilon), forms the
     reduced operator, and lifts its eigenvectors to exact modes
-    v_k = Xp V S^-1 w_k / lambda_k (projected form U w_k for
-    lambda_k ~ 0). Amplitudes solve modes @ b ~ first snapshot in the
-    least-squares sense. Output is sorted by descending |b_k|.
+    v_k = Xp V S^-1 w_k / lambda_k. Eigenvalues with |lambda_k| <=
+    sqrt(eps) * max(1, max|lambda|) count as zero and get the projected
+    mode U_r w_k instead: dividing by a lambda_k that is rounding noise
+    would return a noise vector. Amplitudes solve modes @ b ~ first
+    snapshot in the least-squares sense. Output is sorted by descending
+    |b_k|.
     """
     x = np.asarray(x, dtype=float)
     xp = np.asarray(xp, dtype=float)

@@ -22,16 +22,16 @@ from .snapshots import SnapshotMatrix
 class IfoParams:
     """Lattice and dynamics parameters.
 
-    The dissipative-coupling condition degree * epsilon < e_crit is
-    enforced at construction; without it an avalanche could pump energy
-    faster than firing drains it and never terminate.
+    The dissipative-coupling condition degree * epsilon < 1 (the firing
+    threshold, E(1) = 1) is enforced at construction; without it an
+    avalanche could pump energy faster than firing drains it and never
+    terminate.
     """
 
     gamma: float
     epsilon: float
     rows: int
     cols: int
-    e_crit: float = 1.0
     dt: float = 0.01
     boundary: str = "open"
     seed: int = 0
@@ -41,8 +41,6 @@ class IfoParams:
             raise ConfigError(f"gamma must be > 0, got {self.gamma}")
         if self.epsilon < 0:
             raise ConfigError(f"epsilon must be >= 0, got {self.epsilon}")
-        if not self.e_crit > 0:
-            raise ConfigError(f"e_crit must be > 0, got {self.e_crit}")
         if not self.dt > 0:
             raise ConfigError(f"dt must be > 0, got {self.dt}")
         if self.rows < 1 or self.cols < 1:
@@ -50,10 +48,10 @@ class IfoParams:
         if self.boundary not in ("open", "periodic"):
             raise ConfigError(f"boundary must be 'open' or 'periodic', got {self.boundary!r}")
         max_degree = max(len(nb) for nb in lattice_neighbors(self.rows, self.cols, self.boundary))
-        if max_degree * self.epsilon >= self.e_crit:
+        if max_degree * self.epsilon >= 1.0:
             raise ConfigError(
                 f"dissipative coupling violated: degree {max_degree} * epsilon "
-                f"{self.epsilon} >= e_crit {self.e_crit}"
+                f"{self.epsilon} >= 1"
             )
 
     @property
@@ -157,7 +155,7 @@ def _resolve_inplace(theta: np.ndarray, params: IfoParams,
     size = 0
     participants: set[int] = set()
     # Dissipative coupling bounds total sweeps; the guard is defensive only.
-    per_sweep = int(np.ceil(params.e_crit / eps)) if eps > 0 else 1
+    per_sweep = int(np.ceil(1.0 / eps)) if eps > 0 else 1
     max_sweeps = params.n_nodes * per_sweep + 2
     for _ in range(max_sweeps):
         firing = np.flatnonzero(theta >= 1.0)
@@ -174,7 +172,7 @@ def _resolve_inplace(theta: np.ndarray, params: IfoParams,
             for j in neighbors[i]:
                 tj = theta[j] if theta[j] < 1.0 else 1.0
                 ej = k * (1.0 - np.exp(-gamma * tj)) + eps
-                if ej >= params.e_crit:
+                if ej >= 1.0:
                     theta[j] = 1.0
                 else:
                     theta[j] = -np.log(1.0 - ej / k) / gamma

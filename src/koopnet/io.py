@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable
 
@@ -25,19 +26,15 @@ class FileFormatError(KoopnetError, ValueError):
     """A CSV artifact does not parse; carries the offending line number."""
 
 
-def _fmt(value: float) -> str:
-    # repr() of a Python float is the shortest decimal that round-trips.
-    return repr(float(value))
-
-
-def atomic_write_text(path: Path, text: str) -> None:
-    """Write a file via temp-and-rename so readers never see a partial
-    artifact."""
+@contextmanager
+def _atomic_open(path: Path):
+    """Open a temp file beside `path` for writing; on success rename it
+    over `path`, so readers never see a partial artifact."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -45,18 +42,25 @@ def atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
+def atomic_write_text(path: Path, text: str) -> None:
+    """Write a whole text file atomically."""
+    with _atomic_open(path) as fh:
+        fh.write(text)
+
+
 def write_csv(path: Path, header: list[str], rows: Iterable[Iterable]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            _fmt(v) if isinstance(v, float) else str(v) for v in row
-        ))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Write a header and rows atomically, one line at a time. Floats
+    use repr(), the shortest decimal that round-trips; anything else
+    uses str()."""
+    with _atomic_open(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join([repr(float(v)) if isinstance(v, float) else str(v)
+                               for v in row]) + "\n")
 
 
 def write_snapshots(path: Path, snapshots: SnapshotMatrix) -> None:
-    labels = snapshots.node_labels()
-    write_csv(path, labels, ([float(v) for v in row] for row in snapshots.data))
+    write_csv(path, snapshots.node_labels(), (row.tolist() for row in snapshots.data))
 
 
 def read_snapshots(path: Path, dt: float = 1.0) -> SnapshotMatrix:
@@ -100,10 +104,7 @@ def write_bs_events(path: Path, min_history: list[int]) -> None:
 
 
 def write_meta(path: Path, meta: dict) -> None:
-    rows = []
-    for key, value in meta.items():
-        rows.append((key, _fmt(value) if isinstance(value, float) else str(value)))
-    write_csv(path, ["key", "value"], rows)
+    write_csv(path, ["key", "value"], meta.items())
 
 
 def read_meta(path: Path) -> dict[str, str]:

@@ -118,6 +118,27 @@ class TestDmdExamples:
         result = dmd_of_snapshots(SnapshotMatrix(data=data), rank=99)
         assert result.rank == 4
 
+    def test_numerically_zero_eigenvalue_gets_projected_mode(self):
+        # six nodes, one exact zero eigenvalue whose eigenvector is close
+        # to that of 0.95: rounding leaves lambda at 1e-14..1e-9, and
+        # lifting by 1/lambda would return a noise mode
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            s = rng.normal(size=(6, 6))
+            s[:, -1] = s[:, 0] + 0.1 * s[:, -1]
+            m = s @ np.diag([0.95, 0.9, 0.7, -0.5, 0.3, 0.0]) @ np.linalg.inv(s)
+            data = linear_data(m, rng.normal(size=6), 12)
+            x, xp = data[:-1].T, data[1:].T
+            result = dmd(x, xp)
+            assert result.rank == 6
+            assert np.count_nonzero(result.zero_flags) == 1
+            u, sv, vh = np.linalg.svd(x, full_matrices=False)
+            r = result.rank
+            a = xp @ vh[:r].T @ np.diag(1.0 / sv[:r]) @ u[:, :r].T
+            tol = 1e-8 * max(1.0, np.linalg.norm(a, 2))
+            for lam, v in zip(result.eigenvalues_discrete, result.modes.T):
+                assert np.linalg.norm(a @ v - lam * v) <= tol
+
     def test_degenerate_and_config_errors(self):
         with pytest.raises(DegenerateDataError):
             dmd_of_snapshots(SnapshotMatrix(data=np.zeros((5, 3))))

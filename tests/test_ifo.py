@@ -164,6 +164,15 @@ class TestResolveAvalanche:
         assert rec.size == 2
         assert rec.participants == {0, 1}
 
+    def test_kick_past_threshold_stays_finite(self):
+        # node 0 fires and kicks node 1 from E ~ 0.88 to ~ 1.17; the kick
+        # is clamped at the threshold instead of inverting E >= 1
+        p = IfoParams(gamma=2, epsilon=0.29, rows=1, cols=2)
+        out, rec = resolve_avalanche(IfoState(theta=[1.0, 0.72]), p)
+        assert np.all(np.isfinite(out.theta))
+        assert np.all((out.theta >= 0.0) & (out.theta < 1.0))
+        assert rec.participants == {0, 1}
+
     def test_no_firing_returns_none(self):
         p = IfoParams(gamma=GAMMA, epsilon=0.145, rows=1, cols=2)
         theta = np.array([0.3, 0.4])

@@ -57,6 +57,19 @@ class TestSnapshotsRoundTrip:
         with pytest.raises(FileFormatError, match="no data"):
             read_snapshots(path)
 
+    def test_edge_values_match_repr_oracle(self, tmp_path):
+        row = [5e-324, 2.2250738585072014e-308 / 3, -0.0, 0.0, 1e16, 1e-5, 1.0,
+               -3.0, 1e22, 0.1, 123456789012345.6]
+        data = np.array([row, row[::-1]])
+        path = tmp_path / "snapshots.csv"
+        write_snapshots(path, SnapshotMatrix(data=data))
+        expect = ",".join(f"n{i}" for i in range(len(row))) + "\n" + "".join(
+            ",".join(repr(float(v)) for v in r) + "\n" for r in data)
+        assert path.read_bytes() == expect.encode("utf-8")
+        back = read_snapshots(path).data
+        assert np.array_equal(back, data)
+        assert np.signbit(back[0, 2])
+
     def test_lf_line_endings(self, tmp_path):
         path = tmp_path / "snapshots.csv"
         write_snapshots(path, SnapshotMatrix(data=np.ones((3, 2))))
@@ -165,6 +178,27 @@ class TestCli:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert read_dir_bytes(a) == read_dir_bytes(b)
+
+    @pytest.mark.parametrize("model_args", [
+        ["--model", "bs", "--n", "15", "--steps", "300", "--seed", "2"],
+        ["--model", "ifo", "--rows", "3", "--cols", "4", "--steps", "300", "--seed", "4"],
+    ])
+    def test_pipeline_matches_simulate_then_analyze(self, tmp_path, model_args):
+        analysis_args = ["--window", "100", "--rank", "8"]
+        piped, staged = tmp_path / "piped", tmp_path / "staged"
+        assert main(["pipeline", *model_args, *analysis_args, "--out", str(piped)]) == 0
+        assert main(["simulate", *model_args, "--out", str(staged)]) == 0
+        assert main(["analyze", str(staged / "snapshots.csv"), *analysis_args]) == 0
+        assert len(read_dir_bytes(piped)) == 3 + 2 * 3 + 3
+        assert read_dir_bytes(piped) == read_dir_bytes(staged)
+
+    def test_pipeline_keeps_simulation_artifacts_when_analysis_fails(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        status = main(["pipeline", "--model", "bs", "--n", "10", "--steps", "50",
+                       "--window", "200", "--out", str(out)])
+        assert status == 1
+        assert "shorter than window_len" in capsys.readouterr().err
+        assert sorted(read_dir_bytes(out)) == ["events.csv", "meta.csv", "snapshots.csv"]
 
     def test_invalid_config_exits_one(self, tmp_path, capsys):
         status = main(["simulate", "--model", "ifo", "--steps", "10",
