@@ -34,6 +34,14 @@ CONFIGS = {
                       "--steps", "2500", "--seed", "7"],
     "ifo-16x16-seed3": ["--model", "ifo", "--rows", "16", "--cols", "16",
                         "--steps", "2000", "--seed", "3"],
+    # non-default analysis and boundary flags, so a broken mapping from
+    # the command line to the run configuration shows up as a diff
+    "ifo-6x6-periodic-seed2": ["--model", "ifo", "--rows", "6", "--cols", "6",
+                               "--boundary", "periodic", "--steps", "1500", "--seed", "2",
+                               "--window", "150", "--stride", "100", "--rank", "0",
+                               "--jump-threshold", "10"],
+    "bs-n40-seed5": ["--model", "bs", "--n", "40", "--steps", "1500", "--seed", "5",
+                     "--window", "150", "--stride", "50", "--rank", "0"],
 }
 
 

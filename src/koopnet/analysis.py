@@ -109,8 +109,8 @@ def windowed_dmd(snapshots: SnapshotMatrix, window_len: int = 200,
             slow, fast = split_timescales(result)
             analyses.append(WindowAnalysis(
                 window_index=idx, start_step=start, end_step=start + window_len,
-                result=result, dominant_amplitudes=np.sort(amps)[::-1],
-                max_amplitude=float(np.max(amps)), slow_group=slow, fast_group=fast,
+                result=result, dominant_amplitudes=amps,
+                max_amplitude=float(amps[0]), slow_group=slow, fast_group=fast,
             ))
         idx += 1
         start += stride

@@ -28,6 +28,8 @@ class BsParams:
     def __post_init__(self):
         if self.n < 3:
             raise ConfigError(f"ring size must be >= 3, got {self.n}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -45,6 +47,17 @@ class BsState:
             raise ConfigError("fitness values outside [0, 1]")
 
 
+def _replace_minimum(fitness: np.ndarray, draws: np.ndarray) -> int:
+    """The update of :func:`bs_step`, in place, with the three draws
+    given; returns the index of the replaced minimum."""
+    n = fitness.shape[0]
+    i_min = int(np.argmin(fitness))
+    fitness[(i_min - 1) % n] = draws[0]
+    fitness[i_min] = draws[1]
+    fitness[(i_min + 1) % n] = draws[2]
+    return i_min
+
+
 def bs_step(state: BsState, rng: np.random.Generator) -> tuple[BsState, int]:
     """One update: redraw the minimum-fitness site and its two ring
     neighbors from U[0, 1]. Ties at the minimum break to the lowest
@@ -53,13 +66,8 @@ def bs_step(state: BsState, rng: np.random.Generator) -> tuple[BsState, int]:
 
     Returns the new state and the index of the replaced minimum.
     """
-    n = state.fitness.shape[0]
-    i_min = int(np.argmin(state.fitness))
-    draws = rng.random(3)
     fitness = state.fitness.copy()
-    fitness[(i_min - 1) % n] = draws[0]
-    fitness[i_min] = draws[1]
-    fitness[(i_min + 1) % n] = draws[2]
+    i_min = _replace_minimum(fitness, rng.random(3))
     return BsState(fitness=fitness, iteration=state.iteration + 1), i_min
 
 
@@ -70,20 +78,14 @@ def simulate_bs(params: BsParams, n_iterations: int) -> tuple[SnapshotMatrix, li
     PCG64 seeded with params.seed, one 3-draw block per step."""
     if n_iterations < 1:
         raise ConfigError(f"n_iterations must be >= 1, got {n_iterations}")
-    n = params.n
     rng = np.random.default_rng(params.seed)
-    fitness = rng.random(n)
+    fitness = rng.random(params.n)
     draws = rng.random((n_iterations, 3))
-    snaps = np.empty((n_iterations, n))
+    snaps = np.empty((n_iterations, params.n))
     min_history: list[int] = []
     for k in range(n_iterations):
-        i_min = int(np.argmin(fitness))
-        row = draws[k]
-        fitness[(i_min - 1) % n] = row[0]
-        fitness[i_min] = row[1]
-        fitness[(i_min + 1) % n] = row[2]
+        min_history.append(_replace_minimum(fitness, draws[k]))
         snaps[k] = fitness
-        min_history.append(i_min)
     return SnapshotMatrix(data=snaps, dt=1.0), min_history
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,15 +26,36 @@ from .snapshots import SnapshotMatrix
 ENV_OUT = "KOOPNET_OUT"
 
 
-@dataclass
-class RunConfig:
+# Columns of spectrum_w<k>.csv, in the order _spectrum_rows yields them.
+_SPECTRUM_HEADER = ["re_lambda", "im_lambda", "re_mu", "im_mu", "amplitude", "mode_norm", "group"]
+
+
+@dataclass(kw_only=True)
+class AnalysisConfig:
+    """Windowed-analysis settings; its defaults are the CLI defaults."""
+
+    window_len: int = 200
+    stride: int | None = None
+    # Default rank 16: with full numerical rank, disordered windows keep
+    # directions down at machine-noise level and the least-squares
+    # amplitudes of every such window explode, drowning the jump
+    # detector. A modest fixed cap keeps within-regime windows
+    # well-conditioned so cross-regime windows stand out. rank=None
+    # means data-driven numerical rank.
+    rank: int | None = 16
+    jump_threshold: float = 1e2
+
+
+@dataclass(kw_only=True)
+class RunConfig(AnalysisConfig):
     """Everything one pipeline invocation needs: which model, its
-    parameters, how long to run, and the analysis settings."""
+    parameters, how long to run, and the analysis settings. Its
+    defaults are the CLI defaults."""
 
     model: str
     steps: int
-    seed: int
     output_dir: Path
+    seed: int = 0
     # ifo
     rows: int = 8
     cols: int = 8
@@ -44,21 +65,6 @@ class RunConfig:
     boundary: str = "open"
     # bs
     n: int = 100
-    # analysis
-    # Default rank 16: with full numerical rank, disordered windows keep
-    # directions down at machine-noise level and the least-squares
-    # amplitudes of every such window explode, drowning the jump
-    # detector. A modest fixed cap keeps within-regime windows
-    # well-conditioned so cross-regime windows stand out. rank=None
-    # means data-driven numerical rank.
-    window_len: int = 200
-    stride: int | None = None
-    rank: int | None = 16
-    jump_threshold: float = 1e2
-
-
-def _default_out() -> str:
-    return os.environ.get(ENV_OUT, ".")
 
 
 def _simulate(config: RunConfig) -> SnapshotMatrix:
@@ -114,7 +120,12 @@ def _spectrum_rows(result, slow, fast):
                float(amps[k]), float(norms[k]), group)
 
 
-def cmd_analyze(snapshots_path: Path, config: RunConfig,
+def _mode_rows(name: str, labels: list[str], mode: np.ndarray) -> list[tuple]:
+    return [(name, node, float(np.real(v)), float(np.imag(v)), float(abs(v)))
+            for node, v in zip(labels, mode)]
+
+
+def cmd_analyze(snapshots_path: Path, config: AnalysisConfig,
                 out_dir: Path | None = None, dt: float | None = None) -> int:
     snapshots_path = Path(snapshots_path)
     out = Path(out_dir) if out_dir is not None else snapshots_path.parent
@@ -125,7 +136,7 @@ def cmd_analyze(snapshots_path: Path, config: RunConfig,
     return 0
 
 
-def _analyze(snapshots: SnapshotMatrix, config: RunConfig, out: Path) -> None:
+def _analyze(snapshots: SnapshotMatrix, config: AnalysisConfig, out: Path) -> None:
     """Windowed DMD of a record; writes the spectrum and mode files of
     every window, amplitudes.csv, transition.csv and report.md to `out`."""
     out.mkdir(parents=True, exist_ok=True)
@@ -137,37 +148,26 @@ def _analyze(snapshots: SnapshotMatrix, config: RunConfig, out: Path) -> None:
     warnings: list[str] = []
     amp_rows = []
     for w in windows:
+        # a degenerate window has no amplitudes: NaN maximum, blank top 5
+        top5 = [float(a) for a in w.dominant_amplitudes[:5]]
+        amp_rows.append((w.window_index, float(w.max_amplitude), *top5, *[""] * (5 - len(top5))))
+        kio.write_csv(out / f"spectrum_w{w.window_index}.csv", _SPECTRUM_HEADER,
+                      [] if w.degenerate else _spectrum_rows(w.result, w.slow_group, w.fast_group))
         if w.degenerate:
             warnings.append(f"window {w.window_index}: {w.note}")
-            kio.write_csv(out / f"spectrum_w{w.window_index}.csv",
-                          ["re_lambda", "im_lambda", "re_mu", "im_mu",
-                           "amplitude", "mode_norm", "group"], [])
-            amp_rows.append((w.window_index, float("nan")) + ("",) * 5)
             continue
-        kio.write_csv(out / f"spectrum_w{w.window_index}.csv",
-                      ["re_lambda", "im_lambda", "re_mu", "im_mu",
-                       "amplitude", "mode_norm", "group"],
-                      _spectrum_rows(w.result, w.slow_group, w.fast_group))
 
         mode_rows = []
         for rank_i, entry in enumerate(ana.dominant_modes(w.result, 5), start=1):
-            for node, v in zip(labels, entry.mode):
-                mode_rows.append((f"dominant_{rank_i}", node,
-                                  float(np.real(v)), float(np.imag(v)), float(abs(v))))
+            mode_rows += _mode_rows(f"dominant_{rank_i}", labels, entry.mode)
         try:
             zf = ana.zero_frequency_mode(w.result)
         except KoopnetError:
             warnings.append(f"window {w.window_index}: no zero-frequency mode")
         else:
-            for node, v in zip(labels, zf.mode):
-                mode_rows.append(("zero_frequency", node,
-                                  float(np.real(v)), float(np.imag(v)), float(abs(v))))
+            mode_rows += _mode_rows("zero_frequency", labels, zf.mode)
         kio.write_csv(out / f"modes_w{w.window_index}.csv",
                       ["mode", "node", "re_v", "im_v", "abs_v"], mode_rows)
-
-        top5 = list(w.dominant_amplitudes[:5]) + [""] * (5 - min(5, len(w.dominant_amplitudes)))
-        amp_rows.append((w.window_index, float(w.max_amplitude),
-                         *[float(a) if a != "" else "" for a in top5]))
 
     kio.write_csv(out / "amplitudes.csv",
                   ["window_index", "max_amplitude",
@@ -235,44 +235,43 @@ def cmd_pipeline(config: RunConfig) -> int:
     return 0
 
 
+def _defaults(cls) -> dict:
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+
+
 def _add_sim_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True, choices=["ifo", "bs"])
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rows", type=int, default=8)
-    p.add_argument("--cols", type=int, default=8)
-    p.add_argument("--epsilon", type=float, default=0.145)
-    p.add_argument("--gamma", type=float, default=2.0)
-    p.add_argument("--dt", type=float, default=0.01)
-    p.add_argument("--boundary", choices=["open", "periodic"], default="open")
-    p.add_argument("--n", type=int, default=100, help="ring size (bs model)")
-    p.add_argument("--out", default=None, help=f"output directory (default ${ENV_OUT} or .)")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--rows", type=int)
+    p.add_argument("--cols", type=int)
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--gamma", type=float)
+    p.add_argument("--dt", type=float)
+    p.add_argument("--boundary", choices=["open", "periodic"])
+    p.add_argument("--n", type=int, help="ring size (bs model)")
+    p.add_argument("--out", dest="output_dir", metavar="OUT", type=Path,
+                   default=os.environ.get(ENV_OUT, "."),
+                   help=f"output directory (default ${ENV_OUT} or .)")
+    p.set_defaults(**_defaults(RunConfig))
 
 
 def _add_analysis_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--window", type=int, default=200, dest="window_len")
-    p.add_argument("--stride", type=int, default=None)
-    p.add_argument("--rank", type=int, default=16,
+    p.add_argument("--window", type=int, dest="window_len")
+    p.add_argument("--stride", type=int)
+    p.add_argument("--rank", type=int,
                    help="retained modes per window; 0 = data-driven numerical rank")
-    p.add_argument("--jump-threshold", type=float, default=1e2)
+    p.add_argument("--jump-threshold", type=float)
+    p.set_defaults(**_defaults(AnalysisConfig))
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        model=getattr(args, "model", "ifo"),
-        steps=getattr(args, "steps", 1),
-        seed=getattr(args, "seed", 0),
-        output_dir=Path(args.out if args.out is not None else _default_out()),
-        rows=getattr(args, "rows", 8), cols=getattr(args, "cols", 8),
-        epsilon=getattr(args, "epsilon", 0.145), gamma=getattr(args, "gamma", 2.0),
-        dt=getattr(args, "dt", 0.01),
-        boundary=getattr(args, "boundary", "open"), n=getattr(args, "n", 100),
-        window_len=getattr(args, "window_len", 200),
-        stride=getattr(args, "stride", None),
-        rank=(getattr(args, "rank", 16) or None),
-
-        jump_threshold=getattr(args, "jump_threshold", 1e2),
-    )
+def _config_from_args(cls, args: argparse.Namespace):
+    """`cls` built from the parsed flags named after its fields; --rank 0
+    asks for the data-driven numerical rank (None)."""
+    names = {f.name for f in fields(cls)}
+    values = {k: v for k, v in vars(args).items() if k in names}
+    values["rank"] = values["rank"] or None
+    return cls(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -301,13 +300,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "simulate":
-            return cmd_simulate(_config_from_args(args))
+            return cmd_simulate(_config_from_args(RunConfig, args))
         if args.command == "analyze":
-            config = _config_from_args(args)
-            out = Path(args.out) if args.out is not None else None
-            return cmd_analyze(Path(args.snapshots), config, out_dir=out, dt=args.dt)
+            return cmd_analyze(Path(args.snapshots), _config_from_args(AnalysisConfig, args),
+                               out_dir=args.out, dt=args.dt)
         if args.command == "pipeline":
-            return cmd_pipeline(_config_from_args(args))
+            return cmd_pipeline(_config_from_args(RunConfig, args))
         parser.error(f"unknown command {args.command!r}")
     except (KoopnetError, OSError) as exc:
         print(f"koopnet: error: {exc}", file=sys.stderr)

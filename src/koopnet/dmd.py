@@ -126,14 +126,10 @@ def dmd(x: np.ndarray, xp: np.ndarray, rank: int | None = None, dt: float = 1.0)
     amplitudes = amplitudes[order]
     zero_flags = zero_flags[order]
 
-    mu = np.full(r, np.nan, dtype=complex)
-    nz = ~zero_flags
-    mu[nz] = np.log(lambdas[nz]) / dt
-
     return DmdResult(
         rank=r,
         eigenvalues_discrete=lambdas,
-        eigenvalues_continuous=mu,
+        eigenvalues_continuous=_log_map(lambdas, zero_flags, dt),
         modes=modes,
         amplitudes=amplitudes,
         singular_values=s,
@@ -148,6 +144,13 @@ def dmd_of_snapshots(snapshots: SnapshotMatrix, rank: int | None = None) -> DmdR
     return dmd(x, xp, rank=rank, dt=snapshots.dt)
 
 
+def _log_map(lambdas: np.ndarray, zero: np.ndarray, dt: float) -> np.ndarray:
+    """mu = log(lambda)/dt on the principal branch, NaN where `zero`."""
+    mu = np.full(lambdas.shape, np.nan, dtype=complex)
+    mu[~zero] = np.log(lambdas[~zero]) / dt
+    return mu
+
+
 def continuous_spectrum(lambdas: np.ndarray, dt: float) -> np.ndarray:
     """Map discrete eigenvalues to continuous-time rates/frequencies,
     mu = log(lambda)/dt on the principal branch (Im mu in (-pi/dt,
@@ -157,16 +160,13 @@ def continuous_spectrum(lambdas: np.ndarray, dt: float) -> np.ndarray:
     if not dt > 0:
         raise DomainError(f"dt must be > 0, got {dt}")
     zero = np.abs(lambdas) <= _zero_tolerance(lambdas)
-    mu = np.full(lambdas.shape, np.nan, dtype=complex)
     if np.any(zero):
         warnings.warn(
             "zero eigenvalue(s) excluded from the continuous spectrum",
             RuntimeWarning,
             stacklevel=2,
         )
-    nz = ~zero
-    mu[nz] = np.log(lambdas[nz]) / dt
-    return mu
+    return _log_map(lambdas, zero, dt)
 
 
 def reconstruct(result: DmdResult, k: int) -> np.ndarray:

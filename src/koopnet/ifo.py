@@ -37,12 +37,15 @@ class IfoParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ConfigError(f"gamma must be > 0, got {self.gamma}")
-        if self.epsilon < 0:
-            raise ConfigError(f"epsilon must be >= 0, got {self.epsilon}")
-        if not self.dt > 0:
-            raise ConfigError(f"dt must be > 0, got {self.dt}")
+        # chained comparisons are False for NaN, so these reject it too
+        if not 0 < self.gamma < np.inf:
+            raise ConfigError(f"gamma must be finite and > 0, got {self.gamma}")
+        if not 0 <= self.epsilon < np.inf:
+            raise ConfigError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        if not 0 < self.dt < np.inf:
+            raise ConfigError(f"dt must be finite and > 0, got {self.dt}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.rows < 1 or self.cols < 1:
             raise ConfigError(f"lattice must be >= 1x1, got {self.rows}x{self.cols}")
         if self.boundary not in ("open", "periodic"):

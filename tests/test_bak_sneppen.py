@@ -109,6 +109,8 @@ class TestSimulate:
         with pytest.raises(ConfigError):
             BsParams(n=2)
         with pytest.raises(ConfigError):
+            BsParams(n=5, seed=-1)
+        with pytest.raises(ConfigError):
             simulate_bs(BsParams(n=5), 0)
 
 

@@ -118,7 +118,8 @@ class TestDmdExamples:
         result = dmd_of_snapshots(SnapshotMatrix(data=data), rank=99)
         assert result.rank == 4
 
-    def test_numerically_zero_eigenvalue_gets_projected_mode(self):
+    @staticmethod
+    def numerically_zero_eigenvalue_pairs():
         # six nodes, one exact zero eigenvalue whose eigenvector is close
         # to that of 0.95: rounding leaves lambda at 1e-14..1e-9, and
         # lifting by 1/lambda would return a noise mode
@@ -128,7 +129,10 @@ class TestDmdExamples:
             s[:, -1] = s[:, 0] + 0.1 * s[:, -1]
             m = s @ np.diag([0.95, 0.9, 0.7, -0.5, 0.3, 0.0]) @ np.linalg.inv(s)
             data = linear_data(m, rng.normal(size=6), 12)
-            x, xp = data[:-1].T, data[1:].T
+            yield data[:-1].T, data[1:].T
+
+    def test_numerically_zero_eigenvalue_gets_projected_mode(self):
+        for x, xp in self.numerically_zero_eigenvalue_pairs():
             result = dmd(x, xp)
             assert result.rank == 6
             assert np.count_nonzero(result.zero_flags) == 1
@@ -138,6 +142,17 @@ class TestDmdExamples:
             tol = 1e-8 * max(1.0, np.linalg.norm(a, 2))
             for lam, v in zip(result.eigenvalues_discrete, result.modes.T):
                 assert np.linalg.norm(a @ v - lam * v) <= tol
+
+    def test_continuous_eigenvalues_match_continuous_spectrum(self):
+        # same map, bit for bit, but dmd() flags zero eigenvalues silently
+        for x, xp in self.numerically_zero_eigenvalue_pairs():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                result = dmd(x, xp, dt=0.25)
+            assert np.count_nonzero(result.zero_flags) == 1
+            with pytest.warns(RuntimeWarning):
+                mu = continuous_spectrum(result.eigenvalues_discrete, dt=0.25)
+            assert result.eigenvalues_continuous.tobytes() == mu.tobytes()
 
     def test_degenerate_and_config_errors(self):
         with pytest.raises(DegenerateDataError):

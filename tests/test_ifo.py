@@ -119,6 +119,18 @@ class TestLattice:
             IfoParams(gamma=2.0, epsilon=0.26, rows=3, cols=3)  # 4 * 0.26 >= 1
         IfoParams(gamma=2.0, epsilon=0.24, rows=3, cols=3)  # just inside
 
+    @pytest.mark.parametrize("name, value", [
+        ("gamma", np.nan), ("gamma", np.inf), ("epsilon", np.nan), ("epsilon", np.inf),
+        ("dt", np.nan), ("dt", np.inf), ("seed", -1),
+    ])
+    def test_config_rejects_non_finite_values_and_negative_seed(self, name, value):
+        # a single node has degree 0, so the coupling bound alone cannot
+        # catch an infinite epsilon
+        for rows, cols in ((1, 1), (1, 2)):
+            kwargs = {"gamma": 2.0, "epsilon": 0.145, "rows": rows, "cols": cols}
+            with pytest.raises(ConfigError):
+                IfoParams(**{**kwargs, name: value})
+
 
 class TestAdvance:
     def test_uniform_drift(self):

@@ -112,6 +112,23 @@ class TestCli:
         assert meta["model"] == "ifo" and meta["seed"] == "1"
         assert (out / "events.csv").exists()
 
+    def test_defaults(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["simulate", "--model", "ifo", "--steps", "60", "--out", str(out)]) == 0
+        meta = read_meta(out / "meta.csv")
+        expect = {"rows": "8", "cols": "8", "epsilon": "0.145", "gamma": "2.0", "dt": "0.01",
+                  "boundary": "open", "seed": "0"}
+        assert {k: meta[k] for k in expect} == expect
+        # analyze: window 200 (450 rows give 2 windows), rank 16 of 20
+        # nodes, jump threshold 100
+        path = tmp_path / "snapshots.csv"
+        rng = np.random.default_rng(0)
+        write_snapshots(path, SnapshotMatrix(data=rng.normal(size=(450, 20))))
+        assert main(["analyze", str(path)]) == 0
+        assert len((tmp_path / "amplitudes.csv").read_text().splitlines()) == 1 + 2
+        assert len((tmp_path / "spectrum_w0.csv").read_text().splitlines()) == 1 + 16
+        assert "threshold x100)" in (tmp_path / "report.md").read_text()
+
     def test_simulate_bs_artifacts(self, tmp_path):
         out = tmp_path / "run"
         status = main(["simulate", "--model", "bs", "--steps", "50", "--n", "12",
@@ -205,6 +222,13 @@ class TestCli:
                        "--epsilon", "0.3", "--out", str(tmp_path)])
         assert status == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["bs", "ifo"])
+    def test_negative_seed_exits_one(self, tmp_path, capsys, model):
+        status = main(["simulate", "--model", model, "--steps", "10", "--seed", "-1",
+                       "--out", str(tmp_path)])
+        assert status == 1
+        assert "koopnet: error: seed must be >= 0" in capsys.readouterr().err
 
     def test_missing_input_exits_one(self, tmp_path, capsys):
         status = main(["analyze", str(tmp_path / "missing.csv")])
