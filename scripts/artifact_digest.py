@@ -34,6 +34,9 @@ CONFIGS = {
                       "--steps", "2500", "--seed", "7"],
     "ifo-16x16-seed3": ["--model", "ifo", "--rows", "16", "--cols", "16",
                         "--steps", "2000", "--seed", "3"],
+    # 1024x199 windows: tall, full-rank IFO windows like the benchmark's
+    "ifo-32x32-seed7": ["--model", "ifo", "--rows", "32", "--cols", "32",
+                        "--steps", "1000", "--seed", "7"],
     # non-default analysis and boundary flags, so a broken mapping from
     # the command line to the run configuration shows up as a diff
     "ifo-6x6-periodic-seed2": ["--model", "ifo", "--rows", "6", "--cols", "6",

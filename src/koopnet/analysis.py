@@ -9,7 +9,7 @@ zero-frequency modes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -42,13 +42,11 @@ class WindowAnalysis:
 
 @dataclass
 class TransitionReport:
-    """Batch diagnostics plus the first window boundary whose
-    max-amplitude jump exceeded the configured ratio, if any."""
+    """The first window boundary whose max-amplitude jump reached the
+    configured ratio, if any, and that ratio (0.0 when none did)."""
 
-    per_window: list[WindowAnalysis]
     transition_window: int | None
     jump_ratio: float
-    criterion: dict = field(default_factory=dict)
 
 
 class ModeEntry(NamedTuple):
@@ -85,21 +83,16 @@ def windowed_dmd(snapshots: SnapshotMatrix, window_len: int = 200,
     if t < window_len:
         raise ConfigError(f"record length {t} is shorter than window_len {window_len}")
 
+    x, xp = build_snapshot_pairs(snapshots)
     analyses = []
-    idx = 0
-    start = 0
-    while start + window_len <= t:
-        window = SnapshotMatrix(
-            data=snapshots.data[start:start + window_len],
-            dt=snapshots.dt,
-            labels=snapshots.labels,
-        )
+    for idx, start in enumerate(range(0, t - window_len + 1, stride)):
+        end = start + window_len
         try:
-            x, xp = build_snapshot_pairs(window)
-            result = dmd(x, xp, rank=rank, dt=snapshots.dt)
+            # window [start, end) pairs snapshots start..end-2 with their successors
+            result = dmd(x[:, start:end - 1], xp[:, start:end - 1], rank=rank, dt=snapshots.dt)
         except DegenerateDataError as exc:
             analyses.append(WindowAnalysis(
-                window_index=idx, start_step=start, end_step=start + window_len,
+                window_index=idx, start_step=start, end_step=end,
                 result=None, dominant_amplitudes=np.array([]),
                 max_amplitude=float("nan"), slow_group=[], fast_group=[],
                 note=f"degenerate window: {exc}",
@@ -108,12 +101,10 @@ def windowed_dmd(snapshots: SnapshotMatrix, window_len: int = 200,
             amps = result.amplitude_magnitudes()
             slow, fast = split_timescales(result)
             analyses.append(WindowAnalysis(
-                window_index=idx, start_step=start, end_step=start + window_len,
+                window_index=idx, start_step=start, end_step=end,
                 result=result, dominant_amplitudes=amps,
                 max_amplitude=float(amps[0]), slow_group=slow, fast_group=fast,
             ))
-        idx += 1
-        start += stride
     return analyses
 
 
@@ -147,9 +138,10 @@ def detect_transition(windows: list[WindowAnalysis],
     regime transitions in these models show up as multi-decade amplitude
     jumps, while within-regime fluctuation stays well below it.
     """
+    if not 1 < jump_threshold < np.inf:
+        raise ConfigError(f"jump_threshold must be finite and > 1, got {jump_threshold}")
     if len(windows) < 2:
         raise InsufficientDataError(f"need >= 2 windows, got {len(windows)}")
-    criterion = {"jump_threshold": jump_threshold}
     prev = None
     for w in windows:
         if w.degenerate:
@@ -157,15 +149,10 @@ def detect_transition(windows: list[WindowAnalysis],
         if prev is not None and prev.max_amplitude > 0:
             ratio = w.max_amplitude / prev.max_amplitude
             if ratio >= jump_threshold:
-                return TransitionReport(
-                    per_window=windows,
-                    transition_window=w.window_index,
-                    jump_ratio=float(ratio),
-                    criterion=criterion,
-                )
+                return TransitionReport(transition_window=w.window_index,
+                                        jump_ratio=float(ratio))
         prev = w
-    return TransitionReport(per_window=windows, transition_window=None,
-                            jump_ratio=0.0, criterion=criterion)
+    return TransitionReport(transition_window=None, jump_ratio=0.0)
 
 
 def split_timescales(result: DmdResult,

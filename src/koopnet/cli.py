@@ -180,10 +180,11 @@ def _analyze(snapshots: SnapshotMatrix, config: AnalysisConfig, out: Path) -> No
     kio.write_csv(out / "transition.csv", ["window", "ratio", "threshold"], transition_rows)
 
     kio.atomic_write_text(out / "report.md",
-                          _render_report(snapshots, windows, report, warnings))
+                          _render_report(snapshots, windows, report, warnings,
+                                         config.jump_threshold))
 
 
-def _render_report(snapshots: SnapshotMatrix, windows, report, warnings) -> str:
+def _render_report(snapshots: SnapshotMatrix, windows, report, warnings, jump_threshold) -> str:
     lines = ["# Windowed spectral analysis", ""]
     lines.append(f"- snapshots: {snapshots.n_snapshots} x {snapshots.n_nodes}, "
                  f"dt = {snapshots.dt}")
@@ -191,10 +192,10 @@ def _render_report(snapshots: SnapshotMatrix, windows, report, warnings) -> str:
     if report.transition_window is not None:
         lines.append(f"- **transition detected** at window {report.transition_window} "
                      f"(amplitude jump x{report.jump_ratio:.3g}, threshold "
-                     f"x{report.criterion['jump_threshold']:.3g})")
+                     f"x{jump_threshold:.3g})")
     else:
         lines.append("- no transition detected "
-                     f"(threshold x{report.criterion['jump_threshold']:.3g})")
+                     f"(threshold x{jump_threshold:.3g})")
     lines.append("")
     lines.append("| window | steps | rank | max amplitude | slow | fast |")
     lines.append("|---|---|---|---|---|---|")

@@ -48,13 +48,12 @@ class DmdResult:
 def build_snapshot_pairs(snapshots: SnapshotMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Split a T x N record into the N x (T-1) matrices X (snapshots
     0..T-2 as columns) and Xp (snapshots 1..T-1), so each Xp column is
-    the one-step image of the matching X column."""
+    the one-step image of the matching X column. Both are views of the
+    record's data, not copies."""
     data = snapshots.data
     if data.shape[0] < 2:
         raise ConfigError("need at least 2 snapshots to form pairs")
-    x = data[:-1].T.copy()
-    xp = data[1:].T.copy()
-    return x, xp
+    return data[:-1].T, data[1:].T
 
 
 def _zero_tolerance(lambdas: np.ndarray) -> float:

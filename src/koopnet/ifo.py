@@ -108,18 +108,27 @@ def lattice_neighbors(rows: int, cols: int, boundary: str = "open") -> list[np.n
     return nbrs
 
 
+def _energy(theta, gamma, em1):
+    """Unchecked E(theta) given em1 = expm1(-gamma); no cancellation at small gamma."""
+    return np.expm1(-gamma * theta) / em1
+
+
+def _phase(e, gamma, em1):
+    """Unchecked inverse of :func:`_energy`; log1p keeps it accurate near e = 1."""
+    return -np.log1p(e * em1) / gamma
+
+
 def energy_of_phase(theta, gamma):
     """Energy as a function of phase: E(t) = K (1 - exp(-gamma t)) with
     K = 1/(1 - exp(-gamma)), so E(0) = 0, E(1) = 1, strictly increasing
-    and concave. Accepts scalars or arrays."""
+    and concave. Accepts scalars or arrays. The simulator's coupling
+    kicks use this same map."""
     theta = np.asarray(theta, dtype=float)
     if not gamma > 0:
         raise DomainError(f"gamma must be > 0, got {gamma}")
     if np.any(theta < 0) or np.any(theta > 1):
         raise DomainError("phase outside [0, 1]")
-    # E = expm1(-g t)/expm1(-g): same as K (1 - exp(-g t)) but stable
-    # near the boundaries.
-    out = np.expm1(-gamma * theta) / np.expm1(-gamma)
+    out = _energy(theta, gamma, np.expm1(-gamma))
     return out if out.ndim else float(out)
 
 
@@ -130,9 +139,7 @@ def phase_of_energy(e, gamma):
         raise DomainError(f"gamma must be > 0, got {gamma}")
     if np.any(e < 0) or np.any(e > 1):
         raise DomainError("energy outside [0, 1]")
-    # 1 - e/K = 1 + e * expm1(-g), so log1p keeps the inverse accurate
-    # when e is close to the threshold.
-    out = -np.log1p(e * np.expm1(-gamma)) / gamma
+    out = _phase(e, gamma, np.expm1(-gamma))
     return out if out.ndim else float(out)
 
 
@@ -154,7 +161,7 @@ def _resolve_inplace(theta: np.ndarray, params: IfoParams,
     threshold (surplus dissipated) and fires in a later sweep.
     """
     gamma, eps = params.gamma, params.epsilon
-    k = 1.0 / (1.0 - np.exp(-gamma))
+    em1 = np.expm1(-gamma)
     size = 0
     participants: set[int] = set()
     # Dissipative coupling bounds total sweeps; the guard is defensive only.
@@ -174,11 +181,8 @@ def _resolve_inplace(theta: np.ndarray, params: IfoParams,
                 continue
             for j in neighbors[i]:
                 tj = theta[j] if theta[j] < 1.0 else 1.0
-                ej = k * (1.0 - np.exp(-gamma * tj)) + eps
-                if ej >= 1.0:
-                    theta[j] = 1.0
-                else:
-                    theta[j] = -np.log(1.0 - ej / k) / gamma
+                ej = _energy(tj, gamma, em1) + eps
+                theta[j] = 1.0 if ej >= 1.0 else _phase(ej, gamma, em1)
     raise KoopnetError("avalanche did not terminate within the sweep bound")
 
 

@@ -12,6 +12,7 @@ from koopnet import (
     NotFoundError,
     SnapshotMatrix,
     detect_transition,
+    dmd,
     dmd_of_snapshots,
     dominant_modes,
     spatial_pattern,
@@ -94,6 +95,18 @@ class TestWindowedDmd:
             assert np.array_equal(w.dominant_amplitudes, w.result.amplitude_magnitudes())
             assert w.max_amplitude == w.dominant_amplitudes[0]
 
+    def test_windows_match_direct_dmd(self):
+        # oracle: each overlapping window decomposed on its own
+        data = np.random.default_rng(3).normal(size=(200, 40))
+        windows = windowed_dmd(SnapshotMatrix(data=data, dt=0.5), window_len=30,
+                               stride=7, rank=12)
+        assert len(windows) == 25
+        for w in windows:
+            s, e = w.start_step, w.end_step
+            assert (s, e) == (7 * w.window_index, 7 * w.window_index + 30)
+            direct = dmd(data[s:e - 1].T, data[s + 1:e].T, rank=12, dt=0.5)
+            assert np.array_equal(w.result.eigenvalues_discrete, direct.eigenvalues_discrete)
+
     def test_rejects_bad_config(self):
         snaps = decaying_data(100)
         with pytest.raises(ConfigError):
@@ -152,6 +165,11 @@ class TestDetectTransition:
     def test_requires_two_windows(self):
         with pytest.raises(InsufficientDataError):
             detect_transition(self._windows([1.0]))
+
+    @pytest.mark.parametrize("threshold", [float("nan"), -5.0, 0.0, 1.0, float("inf")])
+    def test_rejects_meaningless_threshold(self, threshold):
+        with pytest.raises(ConfigError, match="jump_threshold"):
+            detect_transition(self._windows([1.0, 2.0]), jump_threshold=threshold)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(6)

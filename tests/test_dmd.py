@@ -69,6 +69,7 @@ class TestSnapshotPairs:
         assert x.shape == (3, 3) and xp.shape == (3, 3)
         assert np.array_equal(x[:, 1], data[1])
         assert np.array_equal(xp[:, 1], data[2])
+        assert np.shares_memory(x, data) and np.shares_memory(xp, data)
 
     def test_minimum_two_snapshots(self):
         data = np.array([[1.0, 2.0], [3.0, 4.0]])

@@ -185,6 +185,26 @@ class TestResolveAvalanche:
         assert np.all((out.theta >= 0.0) & (out.theta < 1.0))
         assert rec.participants == {0, 1}
 
+    def test_kick_uses_the_energy_map(self):
+        # node 0 fires and kicks node 1 from phase t: the new phase is
+        # exactly E^-1(E(t) + eps) as the public map computes it
+        p = IfoParams(gamma=2, epsilon=0.145, rows=1, cols=2)
+        ts = [t for t in np.linspace(0.01, 0.99, 99) if energy_of_phase(t, 2) + 0.145 < 1.0]
+        assert len(ts) > 60
+        for t in ts:
+            out, _ = resolve_avalanche(IfoState(theta=[1.0, t]), p)
+            assert out.theta[1] == phase_of_energy(energy_of_phase(t, 2) + 0.145, 2)
+
+    @pytest.mark.parametrize("gamma", [1e-12, 1e-17])
+    def test_kick_in_the_linear_limit(self, gamma):
+        # E(t) -> t as gamma -> 0, so a kick adds eps to the phase;
+        # 1 - exp(-gamma) cancels to 1e-4 relative error at 1e-12 and to
+        # 0 at 1e-17, where K = 1/(1 - exp(-gamma)) would be inf
+        p = IfoParams(gamma=gamma, epsilon=0.2, rows=1, cols=2)
+        for t in (0.1, 0.3, 0.55, 0.75):
+            out, _ = resolve_avalanche(IfoState(theta=[1.0, t]), p)
+            assert out.theta[1] == pytest.approx(t + 0.2, rel=1e-9)
+
     def test_no_firing_returns_none(self):
         p = IfoParams(gamma=GAMMA, epsilon=0.145, rows=1, cols=2)
         theta = np.array([0.3, 0.4])
@@ -243,6 +263,13 @@ class TestSimulate:
         onset = synchronization_onset(records, 64)
         assert onset is not None
         assert all(r.size == 64 for r in records[-10:])
+
+    def test_tiny_gamma_stays_finite(self):
+        # the kicks must not divide by 1 - exp(-gamma), which is 0 here
+        p = IfoParams(gamma=1e-17, epsilon=0.2, rows=4, cols=4)
+        snaps, records = simulate_ifo(p, 300)
+        assert np.all(np.isfinite(snaps.data))
+        assert len(records) > 0
 
     def test_initial_state_shape_checked(self):
         p = IfoParams(gamma=GAMMA, epsilon=0.145, rows=2, cols=2)

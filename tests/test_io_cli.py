@@ -230,6 +230,13 @@ class TestCli:
         assert status == 1
         assert "koopnet: error: seed must be >= 0" in capsys.readouterr().err
 
+    def test_meaningless_jump_threshold_exits_one(self, tmp_path, capsys):
+        status = main(["pipeline", "--model", "bs", "--n", "10", "--steps", "300",
+                       "--window", "100", "--jump-threshold", "nan", "--out", str(tmp_path)])
+        assert status == 1
+        assert "koopnet: error: jump_threshold must be" in capsys.readouterr().err
+        assert not (tmp_path / "report.md").exists()
+
     def test_missing_input_exits_one(self, tmp_path, capsys):
         status = main(["analyze", str(tmp_path / "missing.csv")])
         assert status == 1
