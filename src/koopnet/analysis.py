@@ -58,13 +58,25 @@ class ModeEntry(NamedTuple):
 @dataclass
 class SpatialPattern:
     """Per-node magnitudes of one mode, plus contiguous runs of nodes
-    whose magnitudes lie within a 10% relative band of each other."""
+    whose magnitudes lie within 10% of each other."""
 
     entries: list[tuple[str, float]]
     groups: list[list[int]]
 
 
-def windowed_dmd(snapshots: SnapshotMatrix, window_len: int = 200,
+def _check_windows(window_len: int, stride: int | None) -> None:
+    if window_len < 2:
+        raise ConfigError(f"window_len must be >= 2, got {window_len}")
+    if stride is not None and stride < 1:
+        raise ConfigError(f"stride must be >= 1, got {stride}")
+
+
+def _check_jump_threshold(jump_threshold: float) -> None:
+    if not 1 < jump_threshold < np.inf:
+        raise ConfigError(f"jump_threshold must be finite and > 1, got {jump_threshold}")
+
+
+def windowed_dmd(snapshots: SnapshotMatrix, window_len: int,
                  stride: int | None = None, rank: int | None = None) -> list[WindowAnalysis]:
     """Decompose the record window by window.
 
@@ -73,12 +85,8 @@ def windowed_dmd(snapshots: SnapshotMatrix, window_len: int = 200,
     window_len). Each window is analyzed independently; a degenerate
     window is flagged and skipped rather than aborting the batch.
     """
-    if window_len < 2:
-        raise ConfigError(f"window_len must be >= 2, got {window_len}")
-    if stride is None:
-        stride = window_len
-    if stride < 1:
-        raise ConfigError(f"stride must be >= 1, got {stride}")
+    _check_windows(window_len, stride)
+    stride = stride or window_len
     t = snapshots.n_snapshots
     if t < window_len:
         raise ConfigError(f"record length {t} is shorter than window_len {window_len}")
@@ -138,8 +146,7 @@ def detect_transition(windows: list[WindowAnalysis],
     regime transitions in these models show up as multi-decade amplitude
     jumps, while within-regime fluctuation stays well below it.
     """
-    if not 1 < jump_threshold < np.inf:
-        raise ConfigError(f"jump_threshold must be finite and > 1, got {jump_threshold}")
+    _check_jump_threshold(jump_threshold)
     if len(windows) < 2:
         raise InsufficientDataError(f"need >= 2 windows, got {len(windows)}")
     prev = None
@@ -155,34 +162,25 @@ def detect_transition(windows: list[WindowAnalysis],
     return TransitionReport(transition_window=None, jump_ratio=0.0)
 
 
-def split_timescales(result: DmdResult,
-                     decay_split: float | None = None) -> tuple[list[int], list[int]]:
+def split_timescales(result: DmdResult) -> tuple[list[int], list[int]]:
     """Partition retained (non-zero-flagged) eigenvalues into slow and
-    fast groups by decay rate |Re mu|.
-
-    With an explicit `decay_split`, slow means |Re mu| < decay_split.
-    Otherwise the boundary is placed in the largest gap of the sorted
-    rates (a two-cluster split); if all rates coincide everything is
-    slow.
-    """
+    fast groups by decay rate |Re mu|, at the largest gap of the sorted
+    rates (a two-cluster split, so no rate scale is assumed). If every
+    gap is within 1e-12 relative, the rates coincide: all are slow."""
     if result.rank < 1:
         raise ConfigError("result has no retained eigenvalues")
     idx = [k for k in range(result.rank) if not result.zero_flags[k]]
-    if not idx:
-        return [], []
+    if len(idx) < 2:
+        return idx, []
     rates = np.abs(np.real(result.eigenvalues_continuous[idx]))
-    if decay_split is None:
-        if len(idx) == 1:
-            return list(idx), []
-        order = np.argsort(rates)
-        sorted_rates = rates[order]
-        gaps = np.diff(sorted_rates)
-        g = int(np.argmax(gaps))
-        if gaps[g] <= 1e-12 * max(1.0, sorted_rates[-1]):
-            return list(idx), []
-        decay_split = 0.5 * (sorted_rates[g] + sorted_rates[g + 1])
-    slow = [idx[k] for k in range(len(idx)) if rates[k] < decay_split]
-    fast = [idx[k] for k in range(len(idx)) if rates[k] >= decay_split]
+    sorted_rates = np.sort(rates)
+    gaps = np.diff(sorted_rates)
+    g = int(np.argmax(gaps))
+    if gaps[g] <= 1e-12 * max(1.0, sorted_rates[-1]):
+        return idx, []
+    split = 0.5 * (sorted_rates[g] + sorted_rates[g + 1])
+    slow = [k for k, rate in zip(idx, rates) if rate < split]
+    fast = [k for k, rate in zip(idx, rates) if rate >= split]
     return slow, fast
 
 
@@ -194,30 +192,27 @@ class ZeroFrequencyMode(NamedTuple):
     index: int
 
 
-def zero_frequency_mode(result: DmdResult, freq_tol: float | None = None,
-                        background_tol: float = 0.01) -> ZeroFrequencyMode:
+def zero_frequency_mode(result: DmdResult) -> ZeroFrequencyMode:
     """The governing zero-frequency mode: largest amplitude among modes
-    whose continuous eigenvalue has (near-)zero imaginary part. Default
-    frequency tolerance is 1e-6 of the Nyquist frequency pi/dt.
+    whose continuous eigenvalue has |Im mu| below 1e-6 of the Nyquist
+    frequency pi/dt, a bound that scales with the sampling interval.
 
-    A discrete eigenvalue within `background_tol` of 1 is the static
-    background (the mean state, effectively unchanged over a window);
-    it is only returned when no genuinely relaxing zero-frequency mode
-    exists, since the spatial structure of interest (where activity
-    happened) lives in the decaying directions.
+    A discrete eigenvalue within 0.01 of 1 is the static background
+    (the mean state, effectively unchanged over a window); it is only
+    returned when no genuinely relaxing zero-frequency mode exists,
+    since the spatial structure of interest (where activity happened)
+    lives in the decaying directions.
     """
-    if freq_tol is None:
-        freq_tol = 1e-6 * np.pi / result.dt
     amps = result.amplitude_magnitudes()
     candidates = [
         k for k in range(result.rank)
         if not result.zero_flags[k]
-        and abs(np.imag(result.eigenvalues_continuous[k])) < freq_tol
+        and abs(np.imag(result.eigenvalues_continuous[k])) < 1e-6 * np.pi / result.dt
     ]
     if not candidates:
         raise NotFoundError("no eigenvalue within the zero-frequency tolerance")
     relaxing = [k for k in candidates
-                if abs(result.eigenvalues_discrete[k] - 1.0) > background_tol]
+                if abs(result.eigenvalues_discrete[k] - 1.0) > 0.01]
     best = max(relaxing if relaxing else candidates, key=lambda k: amps[k])
     return ZeroFrequencyMode(
         eigenvalue=complex(result.eigenvalues_discrete[best]),
@@ -228,12 +223,11 @@ def zero_frequency_mode(result: DmdResult, freq_tol: float | None = None,
     )
 
 
-def spatial_pattern(mode: np.ndarray, labels: list[str] | None = None,
-                    band: float = 0.1) -> SpatialPattern:
+def spatial_pattern(mode: np.ndarray, labels: list[str] | None = None) -> SpatialPattern:
     """Per-node component magnitudes of a mode, in node order, plus
-    contiguous node groups whose magnitudes stay within a relative band
-    (default 10%) of the group maximum. Groups of similar magnitude mark
-    regions that participate coherently in the mode."""
+    contiguous node groups whose magnitudes stay within 10% of the group
+    maximum. Groups of similar magnitude mark regions that participate
+    coherently in the mode."""
     mode = np.asarray(mode)
     if mode.ndim != 1 or mode.shape[0] < 1:
         raise ConfigError("mode must be a non-empty 1-D vector")
@@ -248,7 +242,7 @@ def spatial_pattern(mode: np.ndarray, labels: list[str] | None = None,
     lo = hi = mags[0]
     for i in range(1, mags.shape[0]):
         new_lo, new_hi = min(lo, mags[i]), max(hi, mags[i])
-        if new_hi - new_lo <= band * new_hi:
+        if new_hi - new_lo <= 0.1 * new_hi:
             cur.append(i)
             lo, hi = new_lo, new_hi
         else:

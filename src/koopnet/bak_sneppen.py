@@ -94,9 +94,9 @@ def average_fitness(state: BsState) -> float:
     return float(np.mean(state.fitness))
 
 
-def estimate_threshold(snapshots: SnapshotMatrix, burn_in: int, q: float = 0.05) -> float:
+def estimate_threshold(snapshots: SnapshotMatrix, burn_in: int) -> float:
     """Estimate the lower edge of the stationary fitness support as the
-    q-quantile of all post-burn-in fitness values.
+    5% quantile of all post-burn-in fitness values.
 
     A low quantile rather than the pooled minimum is robust to the small
     sub-threshold population contributed by in-flight avalanches.
@@ -108,4 +108,4 @@ def estimate_threshold(snapshots: SnapshotMatrix, burn_in: int, q: float = 0.05)
         raise InsufficientDataError(
             f"need >= 100 post-burn-in rows, got {tail.shape[0]}"
         )
-    return float(np.quantile(tail, q))
+    return float(np.quantile(tail, 0.05))

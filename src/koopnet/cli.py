@@ -45,6 +45,11 @@ class AnalysisConfig:
     rank: int | None = 16
     jump_threshold: float = 1e2
 
+    def __post_init__(self):
+        # windowed_dmd's and detect_transition's checks, before any work starts
+        ana._check_windows(self.window_len, self.stride)
+        ana._check_jump_threshold(self.jump_threshold)
+
 
 @dataclass(kw_only=True)
 class RunConfig(AnalysisConfig):

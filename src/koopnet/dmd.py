@@ -86,8 +86,8 @@ def dmd(x: np.ndarray, xp: np.ndarray, rank: int | None = None, dt: float = 1.0)
         raise ConfigError("snapshot pair matrices must be 2-D")
     if rank is not None and rank < 1:
         raise ConfigError(f"requested rank must be >= 1, got {rank}")
-    if not dt > 0:
-        raise DomainError(f"dt must be > 0, got {dt}")
+    if not 0 < dt < np.inf:
+        raise DomainError(f"dt must be finite and > 0, got {dt}")
 
     u, s, vh = np.linalg.svd(x, full_matrices=False)
     tol = s[0] * max(x.shape) * np.finfo(float).eps if s.size else 0.0
@@ -156,8 +156,8 @@ def continuous_spectrum(lambdas: np.ndarray, dt: float) -> np.ndarray:
     pi/dt]). Eigenvalues at 0 are infinitely fast decaying directions:
     they produce NaN with a warning rather than a finite rate."""
     lambdas = np.asarray(lambdas, dtype=complex)
-    if not dt > 0:
-        raise DomainError(f"dt must be > 0, got {dt}")
+    if not 0 < dt < np.inf:
+        raise DomainError(f"dt must be finite and > 0, got {dt}")
     zero = np.abs(lambdas) <= _zero_tolerance(lambdas)
     if np.any(zero):
         warnings.warn(

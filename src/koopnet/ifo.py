@@ -50,7 +50,8 @@ class IfoParams:
             raise ConfigError(f"lattice must be >= 1x1, got {self.rows}x{self.cols}")
         if self.boundary not in ("open", "periodic"):
             raise ConfigError(f"boundary must be 'open' or 'periodic', got {self.boundary!r}")
-        max_degree = max(len(nb) for nb in lattice_neighbors(self.rows, self.cols, self.boundary))
+        # lattice_neighbors' max degree, either boundary: <= 2 neighbors per axis
+        max_degree = min(self.rows - 1, 2) + min(self.cols - 1, 2)
         if max_degree * self.epsilon >= 1.0:
             raise ConfigError(
                 f"dissipative coupling violated: degree {max_degree} * epsilon "
@@ -86,7 +87,7 @@ class AvalancheRecord:
     participants: set[int] = field(default_factory=set)
 
 
-def lattice_neighbors(rows: int, cols: int, boundary: str = "open") -> list[np.ndarray]:
+def lattice_neighbors(rows: int, cols: int, boundary: str) -> list[np.ndarray]:
     """4-neighborhood adjacency for a rows x cols lattice, row-major
     node indexing. Open boundary drops out-of-range neighbors; periodic
     wraps (a 1-wide dimension contributes no wrap neighbor twice)."""
@@ -146,8 +147,8 @@ def phase_of_energy(e, gamma):
 def advance(state: IfoState, params: IfoParams, dt: float) -> IfoState:
     """Drift every phase upward by dt at unit rate. Phases may land at or
     above 1 afterwards; resolution is a separate step."""
-    if not dt > 0:
-        raise DomainError(f"dt must be > 0, got {dt}")
+    if not 0 < dt < np.inf:
+        raise DomainError(f"dt must be finite and > 0, got {dt}")
     return IfoState(theta=state.theta + dt, time=state.time + dt)
 
 
@@ -234,20 +235,19 @@ def simulate_ifo(params: IfoParams, n_steps: int,
     return SnapshotMatrix(data=snaps, dt=params.dt), records
 
 
-def synchronization_onset(records: list[AvalancheRecord], n_nodes: int,
-                          min_repeats: int = 3, time_tol: float = 1e-9) -> float | None:
+def synchronization_onset(records: list[AvalancheRecord], n_nodes: int) -> float | None:
     """Time of the first system-spanning avalanche from which the run is
     fully synchronized: every later avalanche also spans all nodes and
-    consecutive events are equally spaced. Returns None if the run never
-    locks in (or locks in with fewer than min_repeats events to confirm
-    the period)."""
+    consecutive events are equally spaced within 1e-9 (above the rounding
+    of accumulated step times, below a step). None if the run never locks
+    in, or locks in with fewer than 3 events (two gaps) to confirm it."""
     for idx, rec in enumerate(records):
         tail = records[idx:]
-        if rec.size != n_nodes or len(tail) < min_repeats:
+        if rec.size != n_nodes or len(tail) < 3:
             continue
         if any(r.size != n_nodes for r in tail):
             continue
         gaps = np.diff([r.start_time for r in tail])
-        if np.all(np.abs(gaps - gaps[0]) <= time_tol):
+        if np.all(np.abs(gaps - gaps[0]) <= 1e-9):
             return rec.start_time
     return None

@@ -63,29 +63,33 @@ def write_snapshots(path: Path, snapshots: SnapshotMatrix) -> None:
     write_csv(path, snapshots.node_labels(), (row.tolist() for row in snapshots.data))
 
 
-def read_snapshots(path: Path, dt: float = 1.0) -> SnapshotMatrix:
-    """Parse a snapshots CSV back into a matrix; `dt` is supplied by the
-    caller (it lives in meta.csv, not in the snapshot file)."""
-    labels = None
-    rows = []
+def _lines(path: Path):
+    """(line number, line) for every non-blank, non-'#' line of a file."""
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            if labels is None:
-                labels = line.split(",")
-                continue
-            fields = line.split(",")
-            if len(fields) != len(labels):
-                raise FileFormatError(
-                    f"{path}:{lineno}: expected {len(labels)} fields, got {len(fields)}"
-                )
-            try:
-                rows.append([float(v) for v in fields])
-            except ValueError as exc:
-                raise FileFormatError(f"{path}:{lineno}: {exc}") from None
-    if labels is None or not rows:
+            if line and not line.startswith("#"):
+                yield lineno, line
+
+
+def read_snapshots(path: Path, dt: float = 1.0) -> SnapshotMatrix:
+    """Parse a snapshots CSV back into a matrix; `dt` is supplied by the
+    caller (it lives in meta.csv, not in the snapshot file)."""
+    lines = _lines(path)
+    _, header = next(lines, (0, ""))  # an empty file has no header and no rows
+    labels = header.split(",")
+    rows = []
+    for lineno, line in lines:
+        fields = line.split(",")
+        if len(fields) != len(labels):
+            raise FileFormatError(
+                f"{path}:{lineno}: expected {len(labels)} fields, got {len(fields)}"
+            )
+        try:
+            rows.append([float(v) for v in fields])
+        except ValueError as exc:
+            raise FileFormatError(f"{path}:{lineno}: {exc}") from None
+    if not rows:
         raise FileFormatError(f"{path}: no data rows")
     return SnapshotMatrix(data=np.array(rows), dt=dt, labels=labels)
 
@@ -108,12 +112,8 @@ def write_meta(path: Path, meta: dict) -> None:
 
 
 def read_meta(path: Path) -> dict[str, str]:
-    meta: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#") or lineno == 1 and line == "key,value":
-                continue
-            key, _, value = line.partition(",")
-            meta[key] = value
-    return meta
+    """key -> value of a meta.csv; a `key,value` header is skipped."""
+    rows = [line.partition(",") for _, line in _lines(path)]
+    if rows and rows[0] == ("key", ",", "value"):
+        del rows[0]
+    return {key: value for key, _, value in rows}

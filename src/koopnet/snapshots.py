@@ -34,8 +34,8 @@ class SnapshotMatrix:
             raise ConfigError("need at least 1 node column")
         if not np.all(np.isfinite(self.data)):
             raise ConfigError("snapshot data contains non-finite entries")
-        if not self.dt > 0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < np.inf:
+            raise ConfigError(f"dt must be finite and > 0, got {self.dt}")
         if self.labels is not None and len(self.labels) != n:
             raise ConfigError(
                 f"{len(self.labels)} labels for {n} node columns"

@@ -191,12 +191,6 @@ class TestSplitTimescales:
         assert slow == [0, 1]
         assert fast == [2, 3]
 
-    def test_explicit_boundary(self):
-        result = make_result([-0.1, -0.2, -50.0, -60.0])
-        slow, fast = split_timescales(result, decay_split=0.15)
-        assert slow == [0]
-        assert fast == [1, 2, 3]
-
     def test_single_eigenvalue_is_slow(self):
         slow, fast = split_timescales(make_result([-0.3]))
         assert slow == [0] and fast == []

@@ -121,12 +121,6 @@ class TestAverageFitness:
 
 
 class TestEstimateThreshold:
-    def test_recovers_uniform_support_edge(self):
-        rng = np.random.default_rng(5)
-        data = 0.6 + 0.4 * rng.random((300, 100))
-        est = estimate_threshold(SnapshotMatrix(data=data), burn_in=0, q=0.0)
-        assert est == pytest.approx(0.6, abs=1e-3)
-
     def test_quantile_above_support_edge(self):
         rng = np.random.default_rng(5)
         data = 0.6 + 0.4 * rng.random((300, 100))

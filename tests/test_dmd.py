@@ -77,6 +77,18 @@ class TestSnapshotPairs:
         assert x.shape == (2, 1)
 
 
+@pytest.mark.parametrize("dt", [0.0, -1.0, np.inf, np.nan])
+def test_rejects_dt_outside_zero_to_inf(dt):
+    # an infinite dt would map every eigenvalue to mu = 0
+    data = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]])
+    with pytest.raises(ConfigError, match="dt must be finite and > 0"):
+        SnapshotMatrix(data=data, dt=dt)
+    with pytest.raises(DomainError, match="dt must be finite and > 0"):
+        dmd(data[:-1].T, data[1:].T, dt=dt)
+    with pytest.raises(DomainError, match="dt must be finite and > 0"):
+        continuous_spectrum(np.array([0.5]), dt=dt)
+
+
 class TestDmdExamples:
     def test_scalar_decay(self):
         data = (0.5 ** np.arange(20))[:, None] * 3.0

@@ -132,6 +132,22 @@ class TestLattice:
                 IfoParams(**{**kwargs, name: value})
 
 
+    def test_coupling_bound_uses_lattice_max_degree(self):
+        # IfoParams computes the maximum degree without building the
+        # lattice; epsilon = 1/degree must be rejected naming that degree
+        for boundary in ("open", "periodic"):
+            for rows in range(1, 8):
+                for cols in range(1, 8):
+                    degree = max(len(nb) for nb in lattice_neighbors(rows, cols, boundary))
+                    kwargs = {"gamma": 2.0, "rows": rows, "cols": cols, "boundary": boundary}
+                    if degree == 0:
+                        IfoParams(epsilon=10.0, **kwargs)
+                        continue
+                    IfoParams(epsilon=0.99 / degree, **kwargs)
+                    with pytest.raises(ConfigError, match=f"degree {degree} "):
+                        IfoParams(epsilon=1.0 / degree, **kwargs)
+
+
 class TestAdvance:
     def test_uniform_drift(self):
         state = IfoState(theta=np.array([0.2, 0.5]))
@@ -151,6 +167,13 @@ class TestAdvance:
         p = IfoParams(gamma=GAMMA, epsilon=0.0, rows=1, cols=1)
         with pytest.raises(DomainError):
             advance(state, p, 0.0)
+
+    @pytest.mark.parametrize("dt", [np.inf, np.nan])
+    def test_rejects_non_finite_dt(self, dt):
+        state = IfoState(theta=np.array([0.2]))
+        p = IfoParams(gamma=GAMMA, epsilon=0.0, rows=1, cols=1)
+        with pytest.raises(DomainError, match="dt must be finite and > 0"):
+            advance(state, p, dt)
 
 
 class TestResolveAvalanche:

@@ -87,6 +87,11 @@ class TestMetaAndEvents:
         assert float(meta["dt"]) == 0.01
         assert int(meta["steps"]) == 2500
 
+    def test_meta_leading_comment_is_not_a_row(self, tmp_path):
+        path = tmp_path / "meta.csv"
+        path.write_text("# written by hand\nkey,value\nmodel,bs\n\n# note\ndt,1.0\n")
+        assert read_meta(path) == {"model": "bs", "dt": "1.0"}
+
     def test_ifo_events_format(self, tmp_path):
         path = tmp_path / "events.csv"
         records = [AvalancheRecord(start_time=1.5, size=3, participants={4, 1, 2})]
@@ -235,6 +240,28 @@ class TestCli:
                        "--window", "100", "--jump-threshold", "nan", "--out", str(tmp_path)])
         assert status == 1
         assert "koopnet: error: jump_threshold must be" in capsys.readouterr().err
+        assert not (tmp_path / "report.md").exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--jump-threshold", "nan", "jump_threshold must be"),
+        ("--window", "1", "window_len must be >= 2"),
+        ("--stride", "0", "stride must be >= 1"),
+    ])
+    def test_bad_analysis_flag_exits_before_simulating(self, tmp_path, capsys,
+                                                        flag, value, message):
+        status = main(["pipeline", "--model", "bs", "--n", "10", "--steps", "300",
+                       "--window", "100", flag, value, "--out", str(tmp_path)])
+        assert status == 1
+        assert f"koopnet: error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "snapshots.csv").exists()
+
+    def test_analyze_rejects_infinite_dt(self, tmp_path, capsys):
+        path = tmp_path / "snapshots.csv"
+        rng = np.random.default_rng(0)
+        write_snapshots(path, SnapshotMatrix(data=rng.normal(size=(60, 3))))
+        status = main(["analyze", str(path), "--window", "30", "--dt", "inf"])
+        assert status == 1
+        assert "koopnet: error: dt must be finite and > 0" in capsys.readouterr().err
         assert not (tmp_path / "report.md").exists()
 
     def test_missing_input_exits_one(self, tmp_path, capsys):
