@@ -19,6 +19,7 @@ import numpy as np
 from . import analysis as ana
 from . import io as kio
 from .bak_sneppen import BsParams, simulate_bs
+from .dmd import _check_rank
 from .errors import KoopnetError
 from .ifo import IfoParams, simulate_ifo
 from .snapshots import SnapshotMatrix
@@ -46,8 +47,9 @@ class AnalysisConfig:
     jump_threshold: float = 1e2
 
     def __post_init__(self):
-        # windowed_dmd's and detect_transition's checks, before any work starts
+        # windowed_dmd's, dmd's and detect_transition's checks, before any work starts
         ana._check_windows(self.window_len, self.stride)
+        _check_rank(self.rank)
         ana._check_jump_threshold(self.jump_threshold)
 
 
@@ -136,7 +138,11 @@ def cmd_analyze(snapshots_path: Path, config: AnalysisConfig,
     out = Path(out_dir) if out_dir is not None else snapshots_path.parent
     if dt is None:
         meta_path = snapshots_path.parent / "meta.csv"
-        dt = float(kio.read_meta(meta_path).get("dt", 1.0)) if meta_path.exists() else 1.0
+        meta = kio.read_meta(meta_path) if meta_path.exists() else {}
+        try:
+            dt = float(meta.get("dt", 1.0))
+        except ValueError as exc:
+            raise kio.FileFormatError(f"{meta_path}: dt: {exc}") from None
     _analyze(kio.read_snapshots(snapshots_path, dt=dt), config, out)
     return 0
 

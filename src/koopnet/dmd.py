@@ -65,6 +65,11 @@ def _zero_tolerance(lambdas: np.ndarray) -> float:
     return np.sqrt(np.finfo(float).eps) * max(1.0, scale)
 
 
+def _check_rank(rank: int | None) -> None:
+    if rank is not None and rank < 1:
+        raise ConfigError(f"requested rank must be >= 1, got {rank}")
+
+
 def dmd(x: np.ndarray, xp: np.ndarray, rank: int | None = None, dt: float = 1.0) -> DmdResult:
     """Exact DMD of the snapshot pair (x, xp).
 
@@ -84,8 +89,7 @@ def dmd(x: np.ndarray, xp: np.ndarray, rank: int | None = None, dt: float = 1.0)
         raise ConfigError(f"shape mismatch: {x.shape} vs {xp.shape}")
     if x.ndim != 2:
         raise ConfigError("snapshot pair matrices must be 2-D")
-    if rank is not None and rank < 1:
-        raise ConfigError(f"requested rank must be >= 1, got {rank}")
+    _check_rank(rank)
     if not 0 < dt < np.inf:
         raise DomainError(f"dt must be finite and > 0, got {dt}")
 

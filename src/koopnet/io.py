@@ -49,18 +49,35 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 
 def write_csv(path: Path, header: list[str], rows: Iterable[Iterable]) -> None:
-    """Write a header and rows atomically, one line at a time. Floats
-    use repr(), the shortest decimal that round-trips; anything else
-    uses str()."""
+    """Write a header and rows atomically, one line at a time. A cell
+    that is already a string passes through unchanged; floats use
+    repr(), the shortest decimal that round-trips; anything else uses
+    str()."""
     with _atomic_open(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join([repr(float(v)) if isinstance(v, float) else str(v)
-                               for v in row]) + "\n")
+            fh.write(",".join([v if isinstance(v, str) else repr(float(v))
+                               if isinstance(v, float) else str(v) for v in row]) + "\n")
 
 
 def write_snapshots(path: Path, snapshots: SnapshotMatrix) -> None:
-    write_csv(path, snapshots.node_labels(), (row.tolist() for row in snapshots.data))
+    """Write a record as CSV, one row per snapshot. A cell is formatted
+    only when its bits differ from the same cell of the row before (a
+    Bak-Sneppen update redraws 3 sites of the ring); the others keep
+    their text. Bits, not values, are compared: -0.0 == 0.0, but their
+    reprs differ."""
+    data = snapshots.data
+    bits = data.view(np.int64)
+    changed = np.ones(data.shape, dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=changed[1:])
+    cells = np.empty(data.shape[1], dtype=object)
+
+    def rows():
+        for values, mask in zip(data, changed):
+            cells[mask] = list(map(repr, values[mask].tolist()))
+            yield cells.tolist()
+
+    write_csv(path, snapshots.node_labels(), rows())
 
 
 def _lines(path: Path):

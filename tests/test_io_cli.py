@@ -1,7 +1,12 @@
 """CSV artifact and command-line interface tests."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koopnet import AvalancheRecord, SnapshotMatrix
 from koopnet.cli import ENV_OUT, main
@@ -20,6 +25,18 @@ def random_doubles(rng, shape):
     mant = rng.normal(size=shape)
     expo = rng.integers(-40, 40, size=shape)
     return np.ldexp(mant, expo)
+
+
+def repr_oracle(data):
+    """The snapshots.csv bytes of `data`: every cell formatted by repr."""
+    header = ",".join(f"n{i}" for i in range(data.shape[1])) + "\n"
+    return (header + "".join(",".join(repr(float(v)) for v in row) + "\n"
+                             for row in data)).encode("utf-8")
+
+
+# ±0.0, subnormals and small sets of values, so rows repeat cells
+CELL_VALUES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                               1.0, 0.1]) | st.floats(allow_nan=False, allow_infinity=False)
 
 
 class TestSnapshotsRoundTrip:
@@ -69,6 +86,37 @@ class TestSnapshotsRoundTrip:
         back = read_snapshots(path).data
         assert np.array_equal(back, data)
         assert np.signbit(back[0, 2])
+
+    @pytest.mark.parametrize("data", [
+        # one column 0.0 -> -0.0 -> 0.0 -> 0.0: equal values, different bits
+        [[0.0, 1.0], [-0.0, 2.0], [0.0, 3.0], [0.0, 4.0]],
+        # a column that never changes
+        [[0.1, 1.0], [0.1, 2.0], [0.1, 3.0], [0.1, 4.0]],
+        # a row identical to the row before it
+        [[1.0, -0.0, 5e-324], [2.0, 0.0, 5e-324], [2.0, 0.0, 5e-324], [3.0, 0.0, -5e-324]],
+        # every cell changes on every row, as in an IFO record
+        np.arange(24.0).reshape(6, 4) / 7 - 1,
+    ], ids=["signed-zero", "constant-column", "repeated-row", "all-change"])
+    def test_changed_cells_match_repr_oracle(self, tmp_path, data):
+        data = np.array(data)
+        path = tmp_path / "snapshots.csv"
+        write_snapshots(path, SnapshotMatrix(data=data))
+        assert path.read_bytes() == repr_oracle(data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_changed_cells_match_repr_oracle_property(self, data):
+        # each row after the first redraws a random subset of the cells
+        n = data.draw(st.integers(1, 6))
+        rows = [data.draw(st.lists(CELL_VALUES, min_size=n, max_size=n))]
+        for _ in range(data.draw(st.integers(1, 7))):
+            redraw = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            rows.append([data.draw(CELL_VALUES) if r else v for r, v in zip(redraw, rows[-1])])
+        record = np.array(rows)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "snapshots.csv"
+            write_snapshots(path, SnapshotMatrix(data=record))
+            assert path.read_bytes() == repr_oracle(record)
 
     def test_lf_line_endings(self, tmp_path):
         path = tmp_path / "snapshots.csv"
@@ -246,6 +294,7 @@ class TestCli:
         ("--jump-threshold", "nan", "jump_threshold must be"),
         ("--window", "1", "window_len must be >= 2"),
         ("--stride", "0", "stride must be >= 1"),
+        ("--rank", "-1", "requested rank must be >= 1"),
     ])
     def test_bad_analysis_flag_exits_before_simulating(self, tmp_path, capsys,
                                                         flag, value, message):
@@ -262,6 +311,17 @@ class TestCli:
         status = main(["analyze", str(path), "--window", "30", "--dt", "inf"])
         assert status == 1
         assert "koopnet: error: dt must be finite and > 0" in capsys.readouterr().err
+        assert not (tmp_path / "report.md").exists()
+
+    def test_analyze_rejects_non_numeric_meta_dt(self, tmp_path, capsys):
+        path = tmp_path / "snapshots.csv"
+        rng = np.random.default_rng(0)
+        write_snapshots(path, SnapshotMatrix(data=rng.normal(size=(60, 3))))
+        write_meta(tmp_path / "meta.csv", {"model": "bs", "dt": "abc"})
+        status = main(["analyze", str(path), "--window", "30"])
+        assert status == 1
+        err = capsys.readouterr().err
+        assert f"koopnet: error: {tmp_path / 'meta.csv'}: dt:" in err
         assert not (tmp_path / "report.md").exists()
 
     def test_missing_input_exits_one(self, tmp_path, capsys):
