@@ -43,6 +43,9 @@ CONFIGS = {
                                "--boundary", "periodic", "--steps", "1500", "--seed", "2",
                                "--window", "150", "--stride", "100", "--rank", "0",
                                "--jump-threshold", "10"],
+    # wrap-around avalanches that take many sweeps, up to all 576 nodes
+    "ifo-24x24-periodic-seed5": ["--model", "ifo", "--rows", "24", "--cols", "24",
+                                 "--boundary", "periodic", "--steps", "1500", "--seed", "5"],
     "bs-n40-seed5": ["--model", "bs", "--n", "40", "--steps", "1500", "--seed", "5",
                      "--window", "150", "--stride", "50", "--rank", "0"],
 }

@@ -87,26 +87,37 @@ class AvalancheRecord:
     participants: set[int] = field(default_factory=set)
 
 
+def _neighbor_table(rows: int, cols: int, boundary: str) -> np.ndarray:
+    """(n, max-degree) neighbor table of a rows x cols lattice, row-major
+    node indexing, each row sorted and padded with the sentinel n.
+
+    Open boundary drops out-of-range neighbors; periodic wraps. A wrap
+    that lands on the node itself (a 1-wide dimension) or on a neighbor
+    already listed (a 2-wide one) is dropped.
+    """
+    n = rows * cols
+    node = np.arange(n)
+    r, c = np.divmod(node, cols)
+    rr = r[:, None] + np.array([-1, 1, 0, 0])
+    cc = c[:, None] + np.array([0, 0, -1, 1])
+    if boundary == "periodic":
+        table = (rr % rows) * cols + cc % cols
+    else:
+        inside = (rr >= 0) & (rr < rows) & (cc >= 0) & (cc < cols)
+        table = np.where(inside, rr * cols + cc, n)
+    table[table == node[:, None]] = n
+    table.sort(axis=1)
+    table[:, 1:][table[:, 1:] == table[:, :-1]] = n
+    table.sort(axis=1)
+    return table[:, :np.count_nonzero(table < n, axis=1).max(initial=0)]
+
+
 def lattice_neighbors(rows: int, cols: int, boundary: str) -> list[np.ndarray]:
     """4-neighborhood adjacency for a rows x cols lattice, row-major
-    node indexing. Open boundary drops out-of-range neighbors; periodic
-    wraps (a 1-wide dimension contributes no wrap neighbor twice)."""
-    nbrs = []
-    for r in range(rows):
-        for c in range(cols):
-            cur = set()
-            for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-                rr, cc = r + dr, c + dc
-                if boundary == "periodic":
-                    rr %= rows
-                    cc %= cols
-                elif not (0 <= rr < rows and 0 <= cc < cols):
-                    continue
-                j = rr * cols + cc
-                if j != r * cols + c:
-                    cur.add(j)
-            nbrs.append(np.array(sorted(cur), dtype=np.intp))
-    return nbrs
+    node indexing: the sorted rows of the simulator's neighbor table
+    without their padding."""
+    n = rows * cols
+    return [row[row < n] for row in _neighbor_table(rows, cols, boundary)]
 
 
 def _energy(theta, gamma, em1):
@@ -153,48 +164,83 @@ def advance(state: IfoState, params: IfoParams, dt: float) -> IfoState:
 
 
 def _resolve_inplace(theta: np.ndarray, params: IfoParams,
-                     neighbors: list[np.ndarray], time: float) -> AvalancheRecord | None:
+                     table: np.ndarray, time: float) -> AvalancheRecord | None:
     """Fire all at-threshold nodes, sweep by sweep, mutating theta.
 
-    Within a sweep, nodes at threshold fire in ascending index; each
-    firing resets the node's phase to 0 and adds the coupling energy to
-    every neighbor. A neighbor pushed over threshold is clamped at the
-    threshold (surplus dissipated) and fires in a later sweep.
+    The rule: within a sweep, nodes at threshold fire in ascending index;
+    each firing resets the node's phase to 0 and kicks every neighbor j
+    by the map theta -> E^-1(E(min(theta, 1)) + eps), clamped at 1 (the
+    surplus is dissipated and j fires in a later sweep).
+
+    Each sweep is resolved as whole arrays over ``table`` (see
+    :func:`_neighbor_table`), giving the same bits as firing one node at
+    a time. All nodes at threshold reset at once, and one bincount gives
+    each node's kick count m_j. A firing node counts only its firing
+    neighbors of higher index: a kick that arrives before it fires finds
+    its phase >= 1 and the clamp undoes it. Then the map is applied m_j
+    times, in rounds over the nodes with m_j >= 1, 2, ...; applying it
+    once to E(theta) + m_j * eps would differ in the last bit, since
+    rounding does not commute with the map. A kicked node's phase is
+    <= 1 (below 1 before, 0 if it fired, and the map stays <= 1), so
+    min(theta, 1) is the identity here and is skipped. Only kicked nodes
+    can fire in the next sweep. Every kick goes through numpy's ufuncs
+    (the private energy/phase helpers), never ``math``: libm's expm1 and
+    log1p round differently from numpy's vectorized ones on some inputs.
     """
+    firing = np.flatnonzero(theta >= 1.0)
+    if firing.size == 0:
+        return None
     gamma, eps = params.gamma, params.epsilon
     em1 = np.expm1(-gamma)
+    if eps == 0.0:
+        # uncoupled: no kicks at all (E^-1(E(theta)) need not round-trip)
+        table = table[:, :0]
+    n = theta.size
+    # slot n is the table's sentinel: phase 0, its kicks are discarded
+    th = np.append(theta, 0.0)
     size = 0
     participants: set[int] = set()
     # Dissipative coupling bounds total sweeps; the guard is defensive only.
-    per_sweep = int(np.ceil(1.0 / eps)) if eps > 0 else 1
-    max_sweeps = params.n_nodes * per_sweep + 2
-    for _ in range(max_sweeps):
-        firing = np.flatnonzero(theta >= 1.0)
-        if firing.size == 0:
-            if size == 0:
-                return None
-            return AvalancheRecord(start_time=time, size=size, participants=participants)
-        for i in firing:
-            theta[i] = 0.0
-            size += 1
-            participants.add(int(i))
-            if eps == 0.0:
-                continue
-            for j in neighbors[i]:
-                tj = theta[j] if theta[j] < 1.0 else 1.0
-                ej = _energy(tj, gamma, em1) + eps
-                theta[j] = 1.0 if ej >= 1.0 else _phase(ej, gamma, em1)
+    # In Python floats, a subnormal eps makes it inf rather than an error.
+    per_sweep = 1.0 / float(eps) + 1.0 if eps > 0 else 1.0
+    max_sweeps = n * per_sweep + 2
+    sweeps = 0
+    # log1p of a clamped node's E * em1 may be out of domain; it is
+    # overwritten by 1.0, so its warning says nothing
+    with np.errstate(invalid="ignore", divide="ignore"):
+        while sweeps < max_sweeps:
+            sweeps += 1
+            size += firing.size
+            participants.update(firing.tolist())
+            nb = table[firing]
+            nb[(th[nb] >= 1.0) & (nb > firing[:, None])] = n
+            th[firing] = 0.0
+            kicks = np.bincount(nb.ravel(), minlength=n + 1)[:n]
+            kicked = np.flatnonzero(kicks > 0)  # a bool mask is faster to scan
+            kicks = kicks[kicked]
+            for r in range(1, kicks.max(initial=0) + 1):
+                idx = kicked[kicks >= r]
+                e = _energy(th[idx], gamma, em1) + eps
+                th[idx] = np.where(e >= 1.0, 1.0, _phase(e, gamma, em1))
+            firing = kicked[th[kicked] >= 1.0]
+            if firing.size == 0:
+                theta[:] = th[:n]
+                return AvalancheRecord(start_time=time, size=size, participants=participants)
     raise KoopnetError("avalanche did not terminate within the sweep bound")
+
+
+def _check_finite(theta: np.ndarray) -> None:
+    if not np.all(np.isfinite(theta)):
+        raise DomainError("non-finite phase in state")
 
 
 def resolve_avalanche(state: IfoState, params: IfoParams) -> tuple[IfoState, AvalancheRecord | None]:
     """Resolve any pending firings; returns the settled state (all phases
     < 1) and the avalanche record, or None when no node was at threshold."""
-    if not np.all(np.isfinite(state.theta)):
-        raise DomainError("non-finite phase in state")
+    _check_finite(state.theta)
     theta = state.theta.copy()
-    nbrs = lattice_neighbors(params.rows, params.cols, params.boundary)
-    record = _resolve_inplace(theta, params, nbrs, state.time)
+    table = _neighbor_table(params.rows, params.cols, params.boundary)
+    record = _resolve_inplace(theta, params, table, state.time)
     return IfoState(theta=theta, time=state.time), record
 
 
@@ -219,16 +265,17 @@ def simulate_ifo(params: IfoParams, n_steps: int,
             raise ConfigError(
                 f"initial state has {initial.theta.shape[0]} nodes, lattice has {n}"
             )
+        _check_finite(initial.theta)
         theta = initial.theta.copy()
         time = initial.time
-    nbrs = lattice_neighbors(params.rows, params.cols, params.boundary)
+    table = _neighbor_table(params.rows, params.cols, params.boundary)
     snaps = np.empty((n_steps, n))
     records: list[AvalancheRecord] = []
     for step in range(n_steps):
         theta += params.dt
         time += params.dt
         if np.max(theta) >= 1.0:
-            rec = _resolve_inplace(theta, params, nbrs, time)
+            rec = _resolve_inplace(theta, params, table, time)
             if rec is not None:
                 records.append(rec)
         snaps[step] = theta
@@ -241,13 +288,17 @@ def synchronization_onset(records: list[AvalancheRecord], n_nodes: int) -> float
     consecutive events are equally spaced within 1e-9 (above the rounding
     of accumulated step times, below a step). None if the run never locks
     in, or locks in with fewer than 3 events (two gaps) to confirm it."""
-    for idx, rec in enumerate(records):
-        tail = records[idx:]
-        if rec.size != n_nodes or len(tail) < 3:
-            continue
-        if any(r.size != n_nodes for r in tail):
-            continue
-        gaps = np.diff([r.start_time for r in tail])
-        if np.all(np.abs(gaps - gaps[0]) <= 1e-9):
-            return rec.start_time
-    return None
+    # One backward pass over the gaps with their running max and min: by
+    # monotone rounding, |g - g0| <= 1e-9 for every later gap g exactly
+    # when max(g) - g0 and g0 - min(g) are.
+    onset = None
+    hi, lo = -np.inf, np.inf
+    for idx in range(len(records) - 2, -1, -1):
+        rec, later = records[idx], records[idx + 1]
+        if rec.size != n_nodes or later.size != n_nodes:
+            break
+        gap = later.start_time - rec.start_time
+        hi, lo = max(hi, gap), min(lo, gap)
+        if idx + 3 <= len(records) and hi - gap <= 1e-9 and gap - lo <= 1e-9:
+            onset = rec.start_time
+    return onset

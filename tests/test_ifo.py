@@ -7,14 +7,16 @@ tiny chains) before being compared to the implementation.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from koopnet import (
+    AvalancheRecord,
     ConfigError,
     DomainError,
     IfoParams,
     IfoState,
+    KoopnetError,
     advance,
     energy_of_phase,
     lattice_neighbors,
@@ -40,6 +42,99 @@ def rk4_energy(theta, gamma, n_sub=20000):
         k4 = f(e + h * k3)
         e += h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
     return e
+
+
+def reference_neighbors(rows, cols, boundary):
+    # independent oracle: one node at a time, duplicates removed by a set
+    nbrs = []
+    for r in range(rows):
+        for c in range(cols):
+            cur = set()
+            for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+                rr, cc = r + dr, c + dc
+                if boundary == "periodic":
+                    rr %= rows
+                    cc %= cols
+                elif not (0 <= rr < rows and 0 <= cc < cols):
+                    continue
+                j = rr * cols + cc
+                if j != r * cols + c:
+                    cur.add(j)
+            nbrs.append(np.array(sorted(cur), dtype=np.intp))
+    return nbrs
+
+
+def reference_resolve(theta, params, time=0.0):
+    """Reference kernel: the per-firing loop. Within a sweep the nodes at
+    threshold fire in ascending index, and each kicks its neighbors one
+    at a time through the public energy map, clamped at 1. Raises
+    KoopnetError past the kernel's sweep bound."""
+    theta = np.array(theta, dtype=float)
+    gamma, eps = params.gamma, params.epsilon
+    nbrs = reference_neighbors(params.rows, params.cols, params.boundary)
+    size, participants = 0, set()
+    per_sweep = 1.0 / float(eps) + 1.0 if eps > 0 else 1.0
+    sweeps = 0
+    while sweeps < params.n_nodes * per_sweep + 2:
+        sweeps += 1
+        firing = np.flatnonzero(theta >= 1.0)
+        if firing.size == 0:
+            record = AvalancheRecord(time, size, participants) if size else None
+            return theta, record
+        for i in firing:
+            theta[i] = 0.0
+            size += 1
+            participants.add(int(i))
+            if eps == 0.0:
+                continue
+            for j in nbrs[i]:
+                ej = energy_of_phase(min(theta[j], 1.0), gamma) + eps
+                theta[j] = 1.0 if ej >= 1.0 else phase_of_energy(ej, gamma)
+    raise KoopnetError("reference avalanche did not terminate")
+
+
+def reference_onset(records, n_nodes):
+    # the O(R^2) forward scan synchronization_onset must agree with
+    for idx, rec in enumerate(records):
+        tail = records[idx:]
+        if rec.size != n_nodes or len(tail) < 3:
+            continue
+        if any(r.size != n_nodes for r in tail):
+            continue
+        gaps = np.diff([r.start_time for r in tail])
+        if np.all(np.abs(gaps - gaps[0]) <= 1e-9):
+            return rec.start_time
+    return None
+
+
+def coupling_limit(rows, cols):
+    """The largest epsilon IfoParams accepts: just below 1/degree."""
+    degree = min(rows - 1, 2) + min(cols - 1, 2)
+    if degree == 0:
+        return 1.0
+    eps = 1.0 / degree
+    while degree * eps >= 1.0:
+        eps = np.nextafter(eps, 0.0)
+    return float(eps)
+
+
+@st.composite
+def lattice_states(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    limit = coupling_limit(rows, cols)
+    params = IfoParams(
+        gamma=draw(st.floats(0.05, 10.0)),
+        epsilon=draw(st.one_of(st.just(0.0), st.just(limit), st.floats(0.0, limit))),
+        rows=rows, cols=cols, boundary=draw(st.sampled_from(["open", "periodic"])),
+    )
+    phase = st.one_of(
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.floats(0.9, 1.0, exclude_max=True),
+        st.just(1.0),
+        st.floats(1.0, 3.0),
+    )
+    theta = draw(st.lists(phase, min_size=rows * cols, max_size=rows * cols))
+    return params, np.array(theta)
 
 
 class TestEnergyProfile:
@@ -106,6 +201,16 @@ class TestLattice:
     def test_periodic_wrap(self):
         nbrs = lattice_neighbors(3, 3, "periodic")
         assert sorted(nbrs[0]) == [1, 2, 3, 6]
+
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    def test_matches_per_node_reference(self, boundary):
+        # 1- and 2-wide periodic dimensions wrap onto the node itself and
+        # onto a neighbor already listed
+        for rows in range(1, 8):
+            for cols in range(1, 8):
+                got = lattice_neighbors(rows, cols, boundary)
+                want = reference_neighbors(rows, cols, boundary)
+                assert [a.tolist() for a in got] == [b.tolist() for b in want]
 
     def test_symmetry(self):
         for boundary in ("open", "periodic"):
@@ -247,6 +352,67 @@ class TestResolveAvalanche:
             assert rec.size <= 9 * int(np.ceil(1.0 / 0.145))
 
 
+class TestPerFiringReference:
+    """The sweep-at-a-time kernel against the per-firing loop, bit for bit."""
+
+    @staticmethod
+    def assert_same(params, theta):
+        try:
+            want, ref = reference_resolve(theta, params)
+        except KoopnetError:
+            with pytest.raises(KoopnetError, match="did not terminate"):
+                resolve_avalanche(IfoState(theta=theta), params)
+            return
+        out, rec = resolve_avalanche(IfoState(theta=theta), params)
+        assert out.theta.tobytes() == want.tobytes()
+        assert (rec is None) == (ref is None)
+        if rec is not None:
+            assert (rec.size, rec.participants) == (ref.size, ref.participants)
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=lattice_states())
+    # at the coupling limit, rounding lets four kicks take a reset node
+    # from E = 0 to E = 1 at gamma = 9, so on a periodic lattice (degree
+    # 4 everywhere) the avalanche never ends; both kernels raise
+    @example(case=(IfoParams(gamma=9.0, epsilon=coupling_limit(3, 3), rows=3, cols=3,
+                             boundary="periodic"),
+                   np.array([0.0, 1.0, 0.5, 1.0, 0.0, 1.0, 0.5, 0.5, 0.0])))
+    def test_resolve_matches_reference_property(self, case):
+        self.assert_same(*case)
+
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    @pytest.mark.parametrize("epsilon", ["limit", 0.0])
+    def test_resolve_matches_reference_on_every_small_lattice(self, boundary, epsilon):
+        # every shape from 1x1 to 6x6, 2xN periodic included, from a
+        # state with nodes at, above and just below the threshold
+        rng = np.random.default_rng(3)
+        for rows in range(1, 7):
+            for cols in range(1, 7):
+                eps = coupling_limit(rows, cols) if epsilon == "limit" else epsilon
+                p = IfoParams(gamma=GAMMA, epsilon=eps, rows=rows, cols=cols, boundary=boundary)
+                theta = 0.8 + 0.2 * rng.random(rows * cols)
+                theta[rng.integers(rows * cols, size=2)] = [1.0, 1.5]
+                self.assert_same(p, theta)
+
+    def test_simulate_matches_reference(self):
+        p = IfoParams(gamma=GAMMA, epsilon=0.145, rows=12, cols=12, seed=4)
+        snaps, records = simulate_ifo(p, 500)
+        # the drift loop of simulate_ifo around the reference kernel
+        theta, time = np.random.default_rng(p.seed).random(p.n_nodes), 0.0
+        want, ref_records = np.empty((500, p.n_nodes)), []
+        for step in range(500):
+            theta += p.dt
+            time += p.dt
+            theta, rec = reference_resolve(theta, p, time)
+            if rec is not None:
+                ref_records.append(rec)
+            want[step] = theta
+        assert snaps.data.tobytes() == want.tobytes()
+        assert [(r.start_time, r.size, r.participants) for r in records] == \
+            [(r.start_time, r.size, r.participants) for r in ref_records]
+        assert max(r.size for r in records) == p.n_nodes  # a many-sweep avalanche
+
+
 class TestSimulate:
     def test_single_node_sawtooth(self):
         p = IfoParams(gamma=GAMMA, epsilon=0.0, rows=1, cols=1, seed=3)
@@ -294,6 +460,21 @@ class TestSimulate:
         assert np.all(np.isfinite(snaps.data))
         assert len(records) > 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_initial_phase(self, bad):
+        # checked before simulating: a NaN would otherwise run every step
+        # and fail only on the finished record, and +inf would just fire
+        p = IfoParams(gamma=GAMMA, epsilon=0.145, rows=2, cols=2)
+        with pytest.raises(DomainError, match="non-finite phase"):
+            simulate_ifo(p, 10, initial=IfoState(theta=[0.2, bad, 0.4, 0.6]))
+
+    def test_subnormal_epsilon_runs(self):
+        # 1/eps overflows to inf here; the sweep bound must not turn it
+        # into an int
+        p = IfoParams(gamma=GAMMA, epsilon=5e-324, rows=3, cols=3)
+        snaps, records = simulate_ifo(p, 200)
+        assert records and np.all(snaps.data < 1.0)
+
     def test_initial_state_shape_checked(self):
         p = IfoParams(gamma=GAMMA, epsilon=0.145, rows=2, cols=2)
         with pytest.raises(ConfigError):
@@ -325,8 +506,6 @@ class TestFullSyncOrbit:
 
 class TestSynchronizationOnset:
     def test_detects_locked_tail(self):
-        from koopnet import AvalancheRecord
-
         records = [
             AvalancheRecord(start_time=1.0, size=3, participants={0, 1, 2}),
             AvalancheRecord(start_time=2.0, size=4, participants={0, 1, 2, 3}),
@@ -336,11 +515,35 @@ class TestSynchronizationOnset:
         assert synchronization_onset(records, 4) == pytest.approx(2.0)
 
     def test_none_when_never_locked(self):
-        from koopnet import AvalancheRecord
-
         records = [
             AvalancheRecord(start_time=1.0, size=4, participants=set(range(4))),
             AvalancheRecord(start_time=2.0, size=2, participants={0, 1}),
             AvalancheRecord(start_time=3.0, size=4, participants=set(range(4))),
         ]
         assert synchronization_onset(records, 4) is None
+
+    def test_tail_that_locks_only_as_a_whole(self):
+        # gaps 1 + s, 1, 1 + 2s with s = 0.6e-9: each is within 1e-9 of
+        # the first, but the last two are 1.2e-9 apart, so the tail from
+        # the second event does not lock
+        s = 0.6e-9
+        times = np.cumsum([10.0, 1.0 + s, 1.0, 1.0 + 2 * s])
+        records = [AvalancheRecord(start_time=t, size=4) for t in times]
+        assert reference_onset(records, 4) == times[0]
+        assert reference_onset(records[1:], 4) is None
+        assert synchronization_onset(records, 4) == times[0]
+        assert synchronization_onset(records[1:], 4) is None
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_matches_forward_scan_property(self, data):
+        base = data.draw(st.floats(0.01, 2.0))
+        near = st.sampled_from([-1.2e-9, -0.6e-9, 0.0, 0.6e-9, 1e-9, 1.2e-9])
+        gap = st.one_of(st.floats(0.01, 2.0), near.map(lambda d: base + d))
+        events = data.draw(st.lists(st.tuples(st.sampled_from([4, 4, 3]), gap), max_size=12))
+        t = data.draw(st.floats(0.0, 50.0))
+        records = []
+        for size, g in events:
+            records.append(AvalancheRecord(start_time=t, size=size))
+            t += g
+        assert synchronization_onset(records, 4) == reference_onset(records, 4)
