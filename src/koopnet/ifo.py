@@ -48,14 +48,18 @@ class IfoParams:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.rows < 1 or self.cols < 1:
             raise ConfigError(f"lattice must be >= 1x1, got {self.rows}x{self.cols}")
-        if self.boundary not in ("open", "periodic"):
-            raise ConfigError(f"boundary must be 'open' or 'periodic', got {self.boundary!r}")
+        _check_boundary(self.boundary)
         # lattice_neighbors' max degree, either boundary: <= 2 neighbors per axis
         max_degree = min(self.rows - 1, 2) + min(self.cols - 1, 2)
         if max_degree * self.epsilon >= 1.0:
             raise ConfigError(
                 f"dissipative coupling violated: degree {max_degree} * epsilon "
                 f"{self.epsilon} >= 1"
+            )
+        if _kicks_reach_threshold(max_degree, self.gamma, self.epsilon):
+            raise ConfigError(
+                f"dissipative coupling violated in rounding: {max_degree} kicks of epsilon "
+                f"{self.epsilon} take a reset node to the threshold at gamma {self.gamma}"
             )
 
     @property
@@ -87,6 +91,27 @@ class AvalancheRecord:
     participants: set[int] = field(default_factory=set)
 
 
+def _check_boundary(boundary: str) -> None:
+    if boundary not in ("open", "periodic"):
+        raise ConfigError(f"boundary must be 'open' or 'periodic', got {boundary!r}")
+
+
+def _kicks_reach_threshold(degree: int, gamma: float, eps: float) -> bool:
+    """Whether `degree` kicks, through the simulator's own kick map, take
+    a node from phase 0 to the threshold. degree * eps < 1 rules that out
+    in exact arithmetic, but within rounding of 1/degree the map can land
+    on E = 1.0, and a node that fires with all its neighbors then fires
+    again in every sweep."""
+    em1 = np.expm1(-gamma)
+    th = np.zeros(1)
+    for _ in range(degree):
+        e = _energy(th, gamma, em1) + eps
+        if e[0] >= 1.0:
+            return True
+        th = _phase(e, gamma, em1)
+    return bool(th[0] >= 1.0)
+
+
 def _neighbor_table(rows: int, cols: int, boundary: str) -> np.ndarray:
     """(n, max-degree) neighbor table of a rows x cols lattice, row-major
     node indexing, each row sorted and padded with the sentinel n.
@@ -95,6 +120,7 @@ def _neighbor_table(rows: int, cols: int, boundary: str) -> np.ndarray:
     that lands on the node itself (a 1-wide dimension) or on a neighbor
     already listed (a 2-wide one) is dropped.
     """
+    _check_boundary(boundary)
     n = rows * cols
     node = np.arange(n)
     r, c = np.divmod(node, cols)

@@ -89,6 +89,102 @@ def test_rejects_dt_outside_zero_to_inf(dt):
         continuous_spectrum(np.array([0.5]), dt=dt)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", ["x", "xp"])
+def test_rejects_non_finite_snapshots(value, which):
+    rng = np.random.default_rng(0)
+    pair = {"x": rng.normal(size=(4, 9)), "xp": rng.normal(size=(4, 9))}
+    pair[which][2, 5] = value
+    with pytest.raises(DomainError, match="must be finite"):
+        dmd(pair["x"], pair["xp"])
+
+
+def prescribed_window(rng, n, m, singular_values):
+    """N x (T-1) pair (x, xp): x = Q1 diag(singular_values) Q2^T with
+    random orthonormal Q1, Q2, and xp = M x for a random orthogonal M
+    scaled by 0.9, so the reduced operator's eigenvalues are O(1)."""
+    k = len(singular_values)
+    q1 = np.linalg.qr(rng.normal(size=(n, k)))[0]
+    q2 = np.linalg.qr(rng.normal(size=(m, k)))[0]
+    x = (q1 * singular_values) @ q2.T
+    return x, 0.9 * np.linalg.qr(rng.normal(size=(n, n)))[0] @ x
+
+
+def svd_dmd(x, xp, rank):
+    """Exact DMD from the SVD of x, operation for operation as dmd()'s
+    SVD fallback: (eigenvalues, modes, amplitudes, singular values)."""
+    u, s, vh = np.linalg.svd(x, full_matrices=False)
+    r = int(np.count_nonzero(s > s[0] * max(x.shape) * np.finfo(float).eps))
+    r = r if rank is None else min(rank, r)
+    u_r, v_r = u[:, :r], vh[:r].conj().T
+    b_mat = (xp @ v_r) / s[:r]
+    lambdas, w = np.linalg.eig(u_r.conj().T @ b_mat)
+    lambdas, w = lambdas.astype(complex), w.astype(complex)
+    zero = np.abs(lambdas) <= np.sqrt(np.finfo(float).eps) * max(1.0, np.max(np.abs(lambdas)))
+    modes = b_mat @ (w / np.where(zero, 1.0, lambdas))
+    modes[:, zero] = u_r @ w[:, zero]
+    norms = np.linalg.norm(modes, axis=0)
+    modes /= np.where(norms > 0, norms, 1.0)
+    amps = np.linalg.lstsq(modes, x[:, 0].astype(complex), rcond=None)[0]
+    order = np.argsort(-np.abs(amps), kind="stable")
+    return lambdas[order], modes[:, order], amps[order], s
+
+
+class TestGramKernel:
+    """The method-of-snapshots basis against an SVD exact-DMD oracle, on
+    windows whose singular values straddle the 1e-3 cut-off."""
+
+    @staticmethod
+    def decompose(monkeypatch, x, xp, rank):
+        """dmd() of the pair, and whether it called np.linalg.svd."""
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        result = dmd(x, xp, rank=rank)
+        monkeypatch.undo()
+        return result, bool(calls)
+
+    @pytest.mark.parametrize("n, m", [(40, 99), (150, 99)], ids=["wide", "tall"])
+    @pytest.mark.parametrize("rank", [16, None])
+    @pytest.mark.parametrize("ratio, gram", [(1.02e-3, True), (0.98e-3, False)],
+                             ids=["above", "below"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_svd_oracle(self, monkeypatch, n, m, rank, ratio, gram, seed):
+        rng = np.random.default_rng(seed)
+        k = min(n, m)
+        want = k if rank is None else rank
+        # sigma_want / sigma_1 = ratio; the tail beyond `want` lies below it
+        s = np.concatenate([np.geomspace(1.0, ratio, want),
+                            np.geomspace(0.5 * ratio, 1e-3 * ratio, k - want)])
+        x, xp = prescribed_window(rng, n, m, 3.0 * s)
+        lambdas, modes, amps, sigma = svd_dmd(x, xp, rank)
+        result, used_svd = self.decompose(monkeypatch, x, xp, rank)
+        assert used_svd is not gram
+        assert result.rank == len(lambdas) == want
+        if gram:
+            assert np.max(np.abs(sorted_eigs(result.eigenvalues_discrete)
+                                 - sorted_eigs(lambdas))) <= 1e-10
+            kept = sigma[:want]
+            assert np.max(np.abs(result.singular_values[:want] - kept) / kept) <= 1e-10
+        else:
+            assert np.array_equal(result.eigenvalues_discrete, lambdas)
+            assert np.array_equal(result.modes, modes)
+            assert np.array_equal(result.amplitudes, amps)
+            assert np.array_equal(result.singular_values, sigma)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_gram_underflow_or_overflow_goes_to_the_svd(self, monkeypatch, scale):
+        # squares of these entries underflow to subnormals or overflow
+        rng = np.random.default_rng(0)
+        x, xp = prescribed_window(rng, 6, 29, np.geomspace(1.0, 0.1, 6))
+        expect = sorted_eigs(dmd(x, xp).eigenvalues_discrete)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result, used_svd = self.decompose(monkeypatch, scale * x, scale * xp, None)
+        assert used_svd
+        assert np.max(np.abs(sorted_eigs(result.eigenvalues_discrete) - expect)) <= 1e-12
+
+
 class TestDmdExamples:
     def test_scalar_decay(self):
         data = (0.5 ** np.arange(20))[:, None] * 3.0

@@ -107,23 +107,29 @@ def reference_onset(records, n_nodes):
     return None
 
 
-def coupling_limit(rows, cols):
-    """The largest epsilon IfoParams accepts: just below 1/degree."""
+def coupling_limit(rows, cols, gamma=GAMMA):
+    """The largest epsilon IfoParams accepts at gamma: just below
+    1/degree, a few ulps further down where rounding lets degree kicks
+    reach the threshold (at most 3 ulps in a scan of 12,000 gammas)."""
     degree = min(rows - 1, 2) + min(cols - 1, 2)
     if degree == 0:
         return 1.0
     eps = 1.0 / degree
-    while degree * eps >= 1.0:
-        eps = np.nextafter(eps, 0.0)
-    return float(eps)
+    while True:
+        try:
+            IfoParams(gamma=gamma, epsilon=eps, rows=rows, cols=cols)
+            return float(eps)
+        except ConfigError:
+            eps = np.nextafter(eps, 0.0)
 
 
 @st.composite
 def lattice_states(draw):
     rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    limit = coupling_limit(rows, cols)
+    gamma = draw(st.floats(0.05, 10.0))
+    limit = coupling_limit(rows, cols, gamma)
     params = IfoParams(
-        gamma=draw(st.floats(0.05, 10.0)),
+        gamma=gamma,
         epsilon=draw(st.one_of(st.just(0.0), st.just(limit), st.floats(0.0, limit))),
         rows=rows, cols=cols, boundary=draw(st.sampled_from(["open", "periodic"])),
     )
@@ -223,6 +229,25 @@ class TestLattice:
         with pytest.raises(ConfigError):
             IfoParams(gamma=2.0, epsilon=0.26, rows=3, cols=3)  # 4 * 0.26 >= 1
         IfoParams(gamma=2.0, epsilon=0.24, rows=3, cols=3)  # just inside
+
+    def test_config_rejects_coupling_that_rounds_to_the_threshold(self):
+        # 4 * eps < 1, but at gamma = 9 the kick map's rounding takes a
+        # reset node through energies 0.25, 0.5, 0.75 to exactly 1.0, so a
+        # fully synchronized periodic 3x3 lattice would fire forever
+        eps = 0.24999999999999997
+        assert 4 * eps < 1.0
+        with pytest.raises(ConfigError, match="rounding: 4 kicks"):
+            IfoParams(gamma=9.0, epsilon=eps, rows=3, cols=3, boundary="periodic")
+        IfoParams(gamma=9.0, epsilon=np.nextafter(eps, 0.0), rows=3, cols=3, boundary="periodic")
+        # the benchmark's and the acceptance runs' coupling
+        IfoParams(gamma=2.0, epsilon=0.145, rows=64, cols=64)
+        IfoParams(gamma=2.0, epsilon=0.145, rows=8, cols=8)
+
+    def test_lattice_neighbors_rejects_misspelled_boundary(self):
+        with pytest.raises(ConfigError, match="boundary must be 'open' or 'periodic'"):
+            lattice_neighbors(2, 2, "periodc")
+        with pytest.raises(ConfigError, match="boundary must be 'open' or 'periodic'"):
+            IfoParams(gamma=2.0, epsilon=0.145, rows=2, cols=2, boundary="periodc")
 
     @pytest.mark.parametrize("name, value", [
         ("gamma", np.nan), ("gamma", np.inf), ("epsilon", np.nan), ("epsilon", np.inf),
@@ -371,10 +396,11 @@ class TestPerFiringReference:
 
     @settings(max_examples=400, deadline=None)
     @given(case=lattice_states())
-    # at the coupling limit, rounding lets four kicks take a reset node
-    # from E = 0 to E = 1 at gamma = 9, so on a periodic lattice (degree
-    # 4 everywhere) the avalanche never ends; both kernels raise
-    @example(case=(IfoParams(gamma=9.0, epsilon=coupling_limit(3, 3), rows=3, cols=3,
+    # at 1/degree less one ulp, rounding lets four kicks take a reset node
+    # from E = 0 to E = 1 at gamma = 9 (IfoParams rejects that epsilon);
+    # at the limit it accepts, the avalanche on a periodic lattice
+    # (degree 4 everywhere) ends
+    @example(case=(IfoParams(gamma=9.0, epsilon=coupling_limit(3, 3, 9.0), rows=3, cols=3,
                              boundary="periodic"),
                    np.array([0.0, 1.0, 0.5, 1.0, 0.0, 1.0, 0.5, 0.5, 0.0])))
     def test_resolve_matches_reference_property(self, case):
