@@ -8,17 +8,26 @@ refactor changed any artifact byte:
     python3 scripts/artifact_digest.py > golden.txt          # before
     python3 scripts/artifact_digest.py --compare golden.txt  # after
 
+The first line is a ``#`` comment naming what the bits depend on besides
+the source: the numpy version, the CPU count and the BLAS thread
+variables. With ``OPENBLAS_NUM_THREADS=1`` the bits of the DMD's Gram
+product and its eigh differ from a two-thread run, and 179 of the 372
+files with them, so both sides of a comparison must run in the same
+environment.
+
 ``--compare`` prints every file whose digest differs, is missing or is
-new, and exits 1 if there is any. ``--src`` picks the source tree
-koopnet is imported from (default: this checkout's ``src/``), so two
-checkouts can be compared without installing either. Stdlib only; each
-run is a separate ``python -m koopnet.cli`` process.
+new, and exits 1 if there is any; it warns on stderr when the golden
+file's environment line differs from this run's. ``--src`` picks the
+source tree koopnet is imported from (default: this checkout's
+``src/``), so two checkouts can be compared without installing either.
+Stdlib only; each run is a separate ``python -m koopnet.cli`` process.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.metadata
 import os
 import subprocess
 import sys
@@ -67,13 +76,26 @@ def digests(src: Path) -> dict[tuple[str, str], str]:
     return out
 
 
-def read_digests(path: Path) -> dict[tuple[str, str], str]:
-    out = {}
+def environment() -> str:
+    """The '#' line that heads the output: what the artifact bits depend
+    on besides the source."""
+    threads = " ".join(f"{var}={os.environ.get(var, 'unset')}"
+                       for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+    return (f"# numpy={importlib.metadata.version('numpy')} "
+            f"cpu_count={os.cpu_count()} {threads}")
+
+
+def read_digests(path: Path) -> tuple[str | None, dict[tuple[str, str], str]]:
+    """The environment line (None if there is none) and the digests of
+    an earlier output of this script."""
+    header, out = None, {}
     for line in path.read_text(encoding="utf-8").splitlines():
-        if line.strip():
+        if line.startswith("#"):
+            header = header or line
+        elif line.strip():
             config, name, digest = line.split()
             out[config, name] = digest
-    return out
+    return header, out
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -84,13 +106,18 @@ def main(argv: list[str] | None = None) -> int:
                    help="directory koopnet is imported from (default: %(default)s)")
     args = p.parse_args(argv)
 
-    current = digests(args.src.resolve())
+    current, env = digests(args.src.resolve()), environment()
     if args.compare is None:
+        print(env)
         for (config, name), digest in current.items():
             print(f"{config}  {name}  {digest}")
         return 0
 
-    golden = read_digests(args.compare)
+    header, golden = read_digests(args.compare)
+    if header != env:
+        print(f"warning: environment differs from {args.compare}:\n"
+              f"  golden: {header or '(no environment line)'}\n"
+              f"  now:    {env}", file=sys.stderr)
     differing = 0
     for key in sorted(golden.keys() | current.keys()):
         old, new = golden.get(key), current.get(key)

@@ -112,24 +112,24 @@ def cmd_simulate(config: RunConfig) -> int:
 
 
 def _spectrum_rows(result, slow, fast):
-    amps = result.amplitude_magnitudes()
-    norms = np.linalg.norm(result.modes, axis=0)
-    for k in range(result.rank):
-        lam = result.eigenvalues_discrete[k]
-        mu = result.eigenvalues_continuous[k]
-        if result.zero_flags[k]:
-            group = "excluded"
-            re_mu = im_mu = float("nan")
+    """One spectrum row per retained mode, from Python scalars: a
+    zero-flagged mode is written with re_mu = im_mu = NaN, group 'excluded'."""
+    columns = (result.eigenvalues_discrete.tolist(), result.eigenvalues_continuous.tolist(),
+               result.amplitude_magnitudes().tolist(),
+               np.linalg.norm(result.modes, axis=0).tolist(), result.zero_flags.tolist())
+    nan = float("nan")
+    for k, (lam, mu, amp, norm, zero) in enumerate(zip(*columns)):
+        if zero:
+            yield (lam.real, lam.imag, nan, nan, amp, norm, "excluded")
         else:
-            group = "slow" if k in slow else "fast"
-            re_mu, im_mu = float(np.real(mu)), float(np.imag(mu))
-        yield (float(np.real(lam)), float(np.imag(lam)), re_mu, im_mu,
-               float(amps[k]), float(norms[k]), group)
+            yield (lam.real, lam.imag, mu.real, mu.imag, amp, norm,
+                   "slow" if k in slow else "fast")
 
 
 def _mode_rows(name: str, labels: list[str], mode: np.ndarray) -> list[tuple]:
-    return [(name, node, float(np.real(v)), float(np.imag(v)), float(abs(v)))
-            for node, v in zip(labels, mode)]
+    # Python's abs(complex), like numpy's scalar abs, is hypot(re, im);
+    # np.abs over a complex array can round the last bit differently.
+    return [(name, node, v.real, v.imag, abs(v)) for node, v in zip(labels, mode.tolist())]
 
 
 def cmd_analyze(snapshots_path: Path, config: AnalysisConfig,
@@ -160,7 +160,7 @@ def _analyze(snapshots: SnapshotMatrix, config: AnalysisConfig, out: Path) -> No
     amp_rows = []
     for w in windows:
         # a degenerate window has no amplitudes: NaN maximum, blank top 5
-        top5 = [float(a) for a in w.dominant_amplitudes[:5]]
+        top5 = w.dominant_amplitudes[:5].tolist()
         amp_rows.append((w.window_index, float(w.max_amplitude), *top5, *[""] * (5 - len(top5))))
         kio.write_csv(out / f"spectrum_w{w.window_index}.csv", _SPECTRUM_HEADER,
                       [] if w.degenerate else _spectrum_rows(w.result, w.slow_group, w.fast_group))

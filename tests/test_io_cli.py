@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koopnet import AvalancheRecord, SnapshotMatrix
-from koopnet.cli import ENV_OUT, main
+from koopnet import AvalancheRecord, DmdResult, KoopnetError, SnapshotMatrix
+from koopnet.analysis import dominant_modes, windowed_dmd, zero_frequency_mode
+from koopnet.cli import ENV_OUT, _mode_rows, _spectrum_rows, main
 from koopnet.io import (
+    _BLOCK_ROWS,
     FileFormatError,
     read_meta,
     read_snapshots,
+    write_csv,
     write_ifo_events,
     write_meta,
     write_snapshots,
@@ -118,6 +121,20 @@ class TestSnapshotsRoundTrip:
             write_snapshots(path, SnapshotMatrix(data=record))
             assert path.read_bytes() == repr_oracle(record)
 
+    def test_changed_cells_across_blocks_match_repr_oracle(self, tmp_path):
+        # more rows than two formatting blocks; column 0 changes only in
+        # its bits (0.0 -> -0.0), exactly at the first row of block 2
+        rng = np.random.default_rng(5)
+        n_rows = 2 * _BLOCK_ROWS + 100
+        data = np.repeat(rng.normal(size=(1, 4)), n_rows, axis=0)
+        redraw = rng.random(data.shape) < 0.01
+        data[redraw] = rng.normal(size=redraw.sum())
+        data[:, 0] = 0.0
+        data[_BLOCK_ROWS:, 0] = -0.0
+        path = tmp_path / "snapshots.csv"
+        write_snapshots(path, SnapshotMatrix(data=data))
+        assert path.read_bytes() == repr_oracle(data)
+
     def test_lf_line_endings(self, tmp_path):
         path = tmp_path / "snapshots.csv"
         write_snapshots(path, SnapshotMatrix(data=np.ones((3, 2))))
@@ -147,6 +164,103 @@ class TestMetaAndEvents:
         lines = path.read_text().splitlines()
         assert lines[0] == "start_time,size,participants"
         assert lines[1] == "1.5,3,1;2;4"
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("value", [-0.0, float("nan"), float("inf"), float("-inf"),
+                                       5e-324, 1e16, 1e-5, 0.1, 123456789012345.6])
+    def test_float_cells_written_as_repr(self, tmp_path, value):
+        path = tmp_path / "out.csv"
+        write_csv(path, ["x"], [(value,)])
+        assert path.read_text().splitlines() == ["x", repr(value)]
+
+    def test_string_and_int_cells(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(path, ["a", "b", "c"], [("1e16", -7, ""), ("nan", 0, "x;y")])
+        assert path.read_text() == "a,b,c\n1e16,-7,\nnan,0,x;y\n"
+
+
+def cell(value):
+    """A numeric cell formatted one numpy scalar at a time, as the
+    artifacts were before rows were built from .tolist()."""
+    return repr(float(value))
+
+
+def spectrum_oracle(window):
+    result = window.result
+    amps = result.amplitude_magnitudes()
+    norms = np.linalg.norm(result.modes, axis=0)
+    lines = []
+    for k in range(result.rank):
+        lam, mu = result.eigenvalues_discrete[k], result.eigenvalues_continuous[k]
+        if result.zero_flags[k]:
+            mu_cells, group = ["nan", "nan"], "excluded"
+        else:
+            mu_cells = [cell(np.real(mu)), cell(np.imag(mu))]
+            group = "slow" if k in window.slow_group else "fast"
+        lines.append(",".join([cell(np.real(lam)), cell(np.imag(lam)), *mu_cells,
+                               cell(amps[k]), cell(norms[k]), group]))
+    return lines
+
+
+def mode_oracle(name, labels, mode):
+    return [",".join([name, node, cell(np.real(v)), cell(np.imag(v)), cell(abs(v))])
+            for node, v in zip(labels, mode)]
+
+
+class TestAnalysisCells:
+    @pytest.mark.parametrize("model_args", [
+        ["--model", "bs", "--n", "12", "--steps", "600", "--seed", "1"],
+        # window 1 of this run has a zero-flagged (excluded) mode
+        ["--model", "ifo", "--rows", "6", "--cols", "6", "--steps", "600", "--seed", "3"],
+    ], ids=["bs", "ifo"])
+    def test_mode_and_spectrum_cells_match_per_element_oracle(self, tmp_path, model_args):
+        assert main(["pipeline", *model_args, "--window", "100", "--out", str(tmp_path)]) == 0
+        snaps = read_snapshots(tmp_path / "snapshots.csv",
+                               dt=float(read_meta(tmp_path / "meta.csv")["dt"]))
+        labels = snaps.node_labels()
+        windows = windowed_dmd(snaps, window_len=100, rank=16)
+        assert windows and not any(w.degenerate for w in windows)
+        for w in windows:
+            spectrum = (tmp_path / f"spectrum_w{w.window_index}.csv").read_text().splitlines()
+            assert spectrum[1:] == spectrum_oracle(w)
+            expect = []
+            for i, entry in enumerate(dominant_modes(w.result, 5), start=1):
+                expect += mode_oracle(f"dominant_{i}", labels, entry.mode)
+            try:
+                expect += mode_oracle("zero_frequency", labels,
+                                      zero_frequency_mode(w.result).mode)
+            except KoopnetError:
+                pass
+            modes = (tmp_path / f"modes_w{w.window_index}.csv").read_text().splitlines()
+            assert modes[1:] == expect
+
+    def test_excluded_mode_has_nan_rates(self):
+        # _log_map leaves NaN+0j at a zero-flagged eigenvalue; the file
+        # says nan for both parts
+        result = DmdResult(rank=2, eigenvalues_discrete=np.array([0.5 + 0.25j, 1e-12 + 0j]),
+                           eigenvalues_continuous=np.array([np.log(0.5 + 0.25j),
+                                                            complex(np.nan, 0.0)]),
+                           modes=np.eye(2, dtype=complex), amplitudes=np.array([2.0, 1.0 + 0j]),
+                           singular_values=np.array([1.0, 0.5]), dt=1.0,
+                           zero_flags=np.array([False, True]))
+        rows = list(_spectrum_rows(result, [0], []))
+        assert rows[0][2:4] == (np.log(0.5 + 0.25j).real, np.log(0.5 + 0.25j).imag)
+        assert rows[0][6] == "slow"
+        assert [repr(v) for v in rows[1][2:4]] == ["nan", "nan"]
+        assert rows[1][6] == "excluded"
+
+    def test_abs_is_the_scalar_hypot(self, tmp_path):
+        # np.abs over a complex array rounds this value's last digit
+        # differently from the scalar abs the files have always used
+        v = 0.09107391910860078 + 0.011357673222502935j
+        assert repr(abs(v)) == "0.091779384846648"
+        assert repr(float(np.abs(np.array([v]))[0])) == "0.09177938484664798"
+        path = tmp_path / "modes.csv"
+        write_csv(path, ["mode", "node", "re_v", "im_v", "abs_v"],
+                  _mode_rows("dominant_1", ["n0"], np.array([v])))
+        assert path.read_text().splitlines()[1] == (
+            "dominant_1,n0,0.09107391910860078,0.011357673222502935,0.091779384846648")
 
 
 def read_dir_bytes(root):
