@@ -71,6 +71,10 @@ def _check_windows(window_len: int, stride: int | None) -> None:
         raise ConfigError(f"stride must be >= 1, got {stride}")
 
 
+# detect_transition's default, and the CLI's: see its docstring
+JUMP_THRESHOLD = 1e2
+
+
 def _check_jump_threshold(jump_threshold: float) -> None:
     if not 1 < jump_threshold < np.inf:
         raise ConfigError(f"jump_threshold must be finite and > 1, got {jump_threshold}")
@@ -138,7 +142,7 @@ def dominant_modes(result: DmdResult, k: int) -> list[ModeEntry]:
 
 
 def detect_transition(windows: list[WindowAnalysis],
-                      jump_threshold: float = 1e2) -> TransitionReport:
+                      jump_threshold: float = JUMP_THRESHOLD) -> TransitionReport:
     """Scan consecutive non-degenerate windows for the first boundary
     where the max mode amplitude jumps by at least `jump_threshold`.
 

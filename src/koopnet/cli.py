@@ -44,7 +44,7 @@ class AnalysisConfig:
     # well-conditioned so cross-regime windows stand out. rank=None
     # means data-driven numerical rank.
     rank: int | None = 16
-    jump_threshold: float = 1e2
+    jump_threshold: float = ana.JUMP_THRESHOLD
 
     def __post_init__(self):
         # windowed_dmd's, dmd's and detect_transition's checks, before any work starts
@@ -62,14 +62,14 @@ class RunConfig(AnalysisConfig):
     model: str
     steps: int
     output_dir: Path
-    seed: int = 0
+    seed: int = IfoParams.seed
     # ifo
     rows: int = 8
     cols: int = 8
     epsilon: float = 0.145
     gamma: float = 2.0
-    dt: float = 0.01
-    boundary: str = "open"
+    dt: float = IfoParams.dt
+    boundary: str = IfoParams.boundary
     # bs
     n: int = 100
 
@@ -112,18 +112,14 @@ def cmd_simulate(config: RunConfig) -> int:
 
 
 def _spectrum_rows(result, slow, fast):
-    """One spectrum row per retained mode, from Python scalars: a
-    zero-flagged mode is written with re_mu = im_mu = NaN, group 'excluded'."""
+    """One spectrum row per retained mode, from Python scalars; a
+    zero-flagged mode's re_mu and im_mu are NaN, its group 'excluded'."""
     columns = (result.eigenvalues_discrete.tolist(), result.eigenvalues_continuous.tolist(),
                result.amplitude_magnitudes().tolist(),
                np.linalg.norm(result.modes, axis=0).tolist(), result.zero_flags.tolist())
-    nan = float("nan")
     for k, (lam, mu, amp, norm, zero) in enumerate(zip(*columns)):
-        if zero:
-            yield (lam.real, lam.imag, nan, nan, amp, norm, "excluded")
-        else:
-            yield (lam.real, lam.imag, mu.real, mu.imag, amp, norm,
-                   "slow" if k in slow else "fast")
+        group = "excluded" if zero else "slow" if k in slow else "fast"
+        yield (lam.real, lam.imag, mu.real, mu.imag, amp, norm, group)
 
 
 def _mode_rows(name: str, labels: list[str], mode: np.ndarray) -> list[tuple]:

@@ -5,8 +5,11 @@ snapshot to its successor, then eigendecomposes it in a reduced basis of
 the leading singular vectors of the data. The basis comes from the method
 of snapshots with an SVD fallback below sigma_r/sigma_1 = 1e-3: eigh of
 the smaller Gram matrix, or the SVD where that ratio would lose accuracy.
-The resulting eigenvalues/modes/amplitudes approximate the spectrum of
-the underlying evolution operator acting on the identity observable.
+Rows constant across a window (sites no Bak-Sneppen avalanche reached
+in it) are first folded, exactly, into one row, so the Gram matrix is
+only as large as the varying rows. The resulting eigenvalues/modes/
+amplitudes approximate the spectrum of the underlying evolution operator
+acting on the identity observable.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ class DmdResult:
     basis comes from the method of snapshots with an SVD fallback below
     sigma_r/sigma_1 = 1e-3; on the method-of-snapshots path the values
     past the retained rank are accurate only to about sqrt(eps) * sigma_1.
+    When at least 2 rows of X are constant and fold into one (see
+    _basis), those past min(k + 1, T-1) (k varying rows) are exact zeros.
     """
 
     rank: int
@@ -90,17 +95,55 @@ _GRAM_MIN_EIGENVALUE = np.finfo(float).tiny / np.finfo(float).eps
 def _basis(x: np.ndarray, rank: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(U_r, every singular value, V_r) of x, truncated to the rank dmd() keeps.
 
+    When at least 2 rows are constant across the window, their values c
+    fold into one row first: x = Q Y exactly, with Y the varying rows
+    followed by ||c|| times a row of ones and Q the orthonormal columns
+    e_i (varying rows i) and c/||c||. Y has x's singular values and V,
+    so the kernel runs on Y and U_r = Q U_Y (0 on the constant rows if
+    c = 0); the singular values past Y's min(k+1, T-1) are exact zeros.
+    The numerical-rank tolerance stays sigma_1 * max(N, T-1) * eps. With
+    fewer than 2 constant rows, or a ||c|| that overflows or is
+    subnormal, x goes to the kernel as it is.
+    """
+    n, m = x.shape
+    varying = np.any(x != x[:, :1], axis=1)
+    if n - np.count_nonzero(varying) < 2:
+        return _kernel(x, rank, max(n, m))
+    # ||c|| of c scaled by a power of 2, so that squares neither overflow
+    # nor underflow; the scaling is exact, and on other data so is ||c||
+    exponent = np.frexp(np.max(np.abs(x[~varying, 0])))[1]
+    c = np.ldexp(x[~varying, :1], -exponent)
+    norm_c = np.linalg.norm(c)
+    row = np.ldexp(norm_c, exponent)
+    if row == np.inf or 0.0 < row < np.finfo(float).tiny:
+        return _kernel(x, rank, max(n, m))    # ||c|| has no full-precision float
+    y = np.vstack((x[varying], np.full((1, m), row)))
+    u_y, s_y, v_r = _kernel(y, rank, max(n, m))
+    u_r = np.empty((n, u_y.shape[1]))
+    u_r[varying] = u_y[:-1]
+    u_r[~varying] = (c / norm_c if norm_c else c) * u_y[-1]
+    s = np.zeros(min(n, m))
+    s[:s_y.size] = s_y
+    return u_r, s, v_r
+
+
+def _kernel(x: np.ndarray, rank: int | None,
+            size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(U_r, every singular value, V_r) of x by the method of snapshots
+    with an SVD fallback; `size` is max(N, T-1) of the window x stands for.
+
     Method of snapshots: eigh of the smaller Gram matrix, X X^T when x
     is wide (N <= T-1) and X^T X otherwise, gives sigma = sqrt(eigenvalue)
     and one factor; the other is X^T U_r / sigma_r or X V_r / sigma_r.
     That needs sigma_want / sigma_1 >= _GRAM_MIN_RATIO, want = min(rank,
     N, T-1); otherwise the SVD of x gives the basis, truncated to its
-    numerical rank at tolerance sigma_1 * max(N, T-1) * eps.
+    numerical rank at tolerance sigma_1 * size * eps.
     """
     n, m = x.shape
     want = min(n, m) if rank is None else min(rank, n, m)
     wide = n <= m
-    with np.errstate(over="ignore"):    # an overflowing Gram matrix goes to the SVD
+    # an overflowing Gram matrix (inf, or nan from inf - inf) goes to the SVD
+    with np.errstate(over="ignore", invalid="ignore"):
         gram = x @ x.T if wide else x.T @ x
     if want and np.all(np.isfinite(gram)):
         lam, vecs = np.linalg.eigh(gram)
@@ -113,7 +156,7 @@ def _basis(x: np.ndarray, rank: int | None) -> tuple[np.ndarray, np.ndarray, np.
             return (x @ vecs) / s_r, s, vecs
 
     u, s, vh = np.linalg.svd(x, full_matrices=False)
-    tol = s[0] * max(x.shape) * np.finfo(float).eps if s.size else 0.0
+    tol = s[0] * size * np.finfo(float).eps if s.size else 0.0
     r_num = int(np.count_nonzero(s > tol))
     if r_num == 0:
         raise DegenerateDataError("all singular values are below tolerance")
@@ -125,12 +168,13 @@ def dmd(x: np.ndarray, xp: np.ndarray, rank: int | None = None, dt: float = 1.0)
     """Exact DMD of the snapshot pair (x, xp).
 
     Takes the leading singular vectors of x by the method of snapshots
-    with an SVD fallback below sigma_r/sigma_1 = 1e-3 (see _basis): eigh
-    of the smaller Gram matrix when the requested rank's sigma_r is at
-    least 1e-3 sigma_1, else the SVD of x truncated to min(requested
-    rank, numerical rank at tolerance sigma_max * max(dims) * machine
-    epsilon). Forms the reduced operator and lifts its eigenvectors to
-    exact modes v_k = Xp V S^-1 w_k / lambda_k. Eigenvalues with |lambda_k| <=
+    with an SVD fallback below sigma_r/sigma_1 = 1e-3 (see _basis), after
+    folding the rows constant across the window into one: eigh of the
+    smaller Gram matrix when the requested rank's sigma_r is at least
+    1e-3 sigma_1, else the SVD truncated to min(requested rank, numerical
+    rank at tolerance sigma_max * max(dims of x) * machine epsilon).
+    Forms the reduced operator and lifts its eigenvectors to exact modes
+    v_k = Xp V S^-1 w_k / lambda_k. Eigenvalues with |lambda_k| <=
     sqrt(eps) * max(1, max|lambda|) count as zero and get the projected
     mode U_r w_k instead: dividing by a lambda_k that is rounding noise
     would return a noise vector. Amplitudes solve modes @ b ~ first
@@ -191,8 +235,8 @@ def dmd_of_snapshots(snapshots: SnapshotMatrix, rank: int | None = None) -> DmdR
 
 
 def _log_map(lambdas: np.ndarray, zero: np.ndarray, dt: float) -> np.ndarray:
-    """mu = log(lambda)/dt on the principal branch, NaN where `zero`."""
-    mu = np.full(lambdas.shape, np.nan, dtype=complex)
+    """mu = log(lambda)/dt on the principal branch, NaN + NaN j where `zero`."""
+    mu = np.full(lambdas.shape, complex(np.nan, np.nan))
     mu[~zero] = np.log(lambdas[~zero]) / dt
     return mu
 

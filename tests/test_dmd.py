@@ -18,6 +18,7 @@ from koopnet import (
     dmd_of_snapshots,
     reconstruct,
 )
+from koopnet.dmd import _basis, _kernel
 
 
 def linear_data(m, x0, n_steps):
@@ -185,6 +186,137 @@ class TestGramKernel:
         assert np.max(np.abs(sorted_eigs(result.eigenvalues_discrete) - expect)) <= 1e-12
 
 
+def window_with_constant_rows(rng, n, m, varying, singular_values, value=None):
+    """N x (T-1) pair (x, xp) whose `varying` rows, at random positions,
+    are a prescribed_window and whose other rows hold a constant across
+    both x and xp (uniform in [0.2, 1], or `value`); also the mask of
+    the constant rows."""
+    const = np.ones(n, dtype=bool)
+    const[rng.permutation(n)[:varying]] = False
+    x, xp = np.empty((n, m)), np.empty((n, m))
+    x[~const], xp[~const] = prescribed_window(rng, varying, m, singular_values)
+    c = rng.uniform(0.2, 1.0, n - varying) if value is None else np.full(n - varying, value)
+    x[const] = xp[const] = c[:, None]
+    return x, xp, const
+
+
+class TestConstantRowFold:
+    """Rows constant across the window fold into one row before the
+    basis; the result must match the SVD oracle on the whole window."""
+
+    @staticmethod
+    def assert_matches_oracle(x, xp, rank):
+        lambdas, modes, amps, sigma = svd_dmd(x, xp, rank)
+        result = dmd(x, xp, rank=rank)
+        assert result.rank == len(lambdas)
+        assert result.singular_values.shape == sigma.shape
+        assert np.max(np.abs(sorted_eigs(result.eigenvalues_discrete)
+                             - sorted_eigs(lambdas))) <= 1e-10
+        # each mode against the oracle mode of the nearest eigenvalue;
+        # modes are unit vectors up to a phase, so compare magnitudes
+        for lam, v, b in zip(result.eigenvalues_discrete, result.modes.T, result.amplitudes):
+            j = np.argmin(np.abs(lambdas - lam))
+            assert np.max(np.abs(np.abs(v) - np.abs(modes[:, j]))) <= 1e-8
+            assert abs(abs(b) - abs(amps[j])) <= 1e-8 * max(1.0, abs(amps[j]))
+        return result, sigma
+
+    @pytest.mark.parametrize("n, m, varying", [(60, 99, 40), (150, 99, 30)],
+                             ids=["wide", "tall"])
+    @pytest.mark.parametrize("rank", [16, None])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_svd_oracle(self, n, m, varying, rank, seed):
+        rng = np.random.default_rng(seed)
+        x, xp, const = window_with_constant_rows(rng, n, m, varying,
+                                                 3.0 * np.geomspace(1.0, 0.05, varying))
+        result, sigma = self.assert_matches_oracle(x, xp, rank)
+        assert result.rank == (varying + 1 if rank is None else rank)
+        kept = sigma[:varying + 1]
+        assert np.max(np.abs(result.singular_values[:varying + 1] - kept) / kept) <= 1e-10
+        assert np.all(result.singular_values[varying + 1:] == 0.0)
+
+    @pytest.mark.parametrize("rank", [16, None])
+    def test_zero_constant_rows(self, rank):
+        rng = np.random.default_rng(5)
+        x, xp, const = window_with_constant_rows(rng, 120, 99, 30,
+                                                 np.geomspace(1.0, 0.05, 30), value=0.0)
+        result, _ = self.assert_matches_oracle(x, xp, rank)
+        assert result.rank == (30 if rank is None else rank)
+        assert np.all(result.modes[const] == 0.0)
+        assert np.all(_basis(x, rank)[0][const] == 0.0)
+
+    @pytest.mark.parametrize("n, m", [(40, 99), (150, 99)], ids=["wide", "tall"])
+    @pytest.mark.parametrize("rank", [16, None])
+    def test_one_constant_row_is_not_folded(self, n, m, rank):
+        rng = np.random.default_rng(6)
+        x, xp, _ = window_with_constant_rows(rng, n, m, n - 1,
+                                             np.geomspace(1.0, 0.05, min(n - 1, m)))
+        for got, expect in zip(_basis(x, rank), _kernel(x, rank, max(n, m))):
+            assert np.array_equal(got, expect)
+
+    def test_rank_tolerance_uses_the_whole_window(self):
+        # sigma_20 / sigma_1 = 8e-14 lies between 99 eps and 1000 eps: below
+        # the 1000 x 99 window's tolerance, above the folded 21 x 99 one's
+        rng = np.random.default_rng(10)
+        sv = np.concatenate([np.geomspace(1.0, 0.1, 19), [8e-14]])
+        x, xp, _ = window_with_constant_rows(rng, 1000, 99, 20, sv, value=1e-3)
+        result, _ = self.assert_matches_oracle(x, xp, None)
+        assert result.rank == 20
+
+    @pytest.mark.parametrize("rank", [16, None])
+    def test_row_constant_in_x_only(self, rank):
+        # the constant rows' successors need not be constant: xp is not folded
+        rng = np.random.default_rng(7)
+        x, xp, const = window_with_constant_rows(rng, 150, 99, 30,
+                                                 3.0 * np.geomspace(1.0, 0.05, 30))
+        xp[np.flatnonzero(const)[:3], -1] += 0.5
+        self.assert_matches_oracle(x, xp, rank)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    @pytest.mark.parametrize("n, m, varying", [(60, 99, 40), (150, 99, 30)],
+                             ids=["wide", "tall"])
+    def test_extreme_scales(self, n, m, varying, scale):
+        # ||c|| squared underflows to subnormals or overflows unless scaled
+        rng = np.random.default_rng(11)
+        x, xp, const = window_with_constant_rows(rng, n, m, varying,
+                                                 3.0 * np.geomspace(1.0, 0.05, varying))
+        expect = dmd(x, xp)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = dmd(scale * x, scale * xp)
+        assert result.rank == expect.rank == varying + 1
+        assert np.max(np.abs(sorted_eigs(result.eigenvalues_discrete)
+                             - sorted_eigs(expect.eigenvalues_discrete))) <= 1e-10
+        assert np.max(np.abs(result.singular_values / scale - expect.singular_values)
+                      / expect.singular_values[0]) <= 1e-10
+        for lam, v in zip(result.eigenvalues_discrete, result.modes.T):
+            j = np.argmin(np.abs(expect.eigenvalues_discrete - lam))
+            assert np.max(np.abs(np.abs(v) - np.abs(expect.modes[:, j]))) <= 1e-8
+
+    # at 1e-310 the rows are subnormal and ||c|| is too: x is not folded
+    @pytest.mark.parametrize("scale", [1.0, 1e-170, 1e160, 1e-310])
+    def test_every_row_constant(self, scale):
+        c = np.random.default_rng(8).uniform(0.2, 1.0, 50)
+        x = np.repeat(scale * c[:, None], 99, axis=1)
+        result = dmd(x, 0.5 * x)
+        assert result.rank == 1
+        assert result.eigenvalues_discrete[0] == pytest.approx(0.5, abs=1e-12)
+        assert np.allclose(np.abs(result.modes[:, 0]), c / np.linalg.norm(c), atol=1e-12)
+        assert np.all(result.singular_values[1:] == 0.0)
+
+    @pytest.mark.parametrize("shape", [(40, 99), (150, 99)], ids=["wide", "tall"])
+    def test_all_zero_window_is_degenerate(self, shape):
+        with pytest.raises(DegenerateDataError):
+            dmd(np.zeros(shape), np.zeros(shape))
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_constant_row_is_rejected(self, value):
+        rng = np.random.default_rng(9)
+        x, xp, const = window_with_constant_rows(rng, 60, 99, 20, np.geomspace(1.0, 0.1, 20))
+        x[np.flatnonzero(const)[0]] = value
+        with pytest.raises(DomainError, match="must be finite"):
+            dmd(x, xp)
+
+
 class TestDmdExamples:
     def test_scalar_decay(self):
         data = (0.5 ** np.arange(20))[:, None] * 3.0
@@ -259,6 +391,8 @@ class TestDmdExamples:
                 warnings.simplefilter("error", RuntimeWarning)
                 result = dmd(x, xp, dt=0.25)
             assert np.count_nonzero(result.zero_flags) == 1
+            excluded = result.eigenvalues_continuous[result.zero_flags]
+            assert np.all(np.isnan(excluded.real)) and np.all(np.isnan(excluded.imag))
             with pytest.warns(RuntimeWarning):
                 mu = continuous_spectrum(result.eigenvalues_discrete, dt=0.25)
             assert result.eigenvalues_continuous.tobytes() == mu.tobytes()
@@ -358,7 +492,7 @@ class TestContinuousSpectrum:
     def test_zero_eigenvalue_warns_and_nans(self):
         with pytest.warns(RuntimeWarning):
             mu = continuous_spectrum(np.array([0.0, 0.5]), dt=1.0)
-        assert np.isnan(mu[0])
+        assert np.isnan(mu[0].real) and np.isnan(mu[0].imag)
         assert mu[1] == pytest.approx(np.log(0.5), abs=1e-12)
 
     def test_principal_branch(self):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from koopnet import AvalancheRecord, DmdResult, KoopnetError, SnapshotMatrix
 from koopnet.analysis import dominant_modes, windowed_dmd, zero_frequency_mode
 from koopnet.cli import ENV_OUT, _mode_rows, _spectrum_rows, main
+from koopnet.dmd import _log_map
 from koopnet.io import (
     _BLOCK_ROWS,
     FileFormatError,
@@ -236,14 +237,13 @@ class TestAnalysisCells:
             assert modes[1:] == expect
 
     def test_excluded_mode_has_nan_rates(self):
-        # _log_map leaves NaN+0j at a zero-flagged eigenvalue; the file
-        # says nan for both parts
-        result = DmdResult(rank=2, eigenvalues_discrete=np.array([0.5 + 0.25j, 1e-12 + 0j]),
-                           eigenvalues_continuous=np.array([np.log(0.5 + 0.25j),
-                                                            complex(np.nan, 0.0)]),
+        # dmd's own map gives a zero-flagged eigenvalue NaN + NaN j; the
+        # file says nan for both parts
+        lambdas, zero = np.array([0.5 + 0.25j, 1e-12 + 0j]), np.array([False, True])
+        result = DmdResult(rank=2, eigenvalues_discrete=lambdas,
+                           eigenvalues_continuous=_log_map(lambdas, zero, 1.0),
                            modes=np.eye(2, dtype=complex), amplitudes=np.array([2.0, 1.0 + 0j]),
-                           singular_values=np.array([1.0, 0.5]), dt=1.0,
-                           zero_flags=np.array([False, True]))
+                           singular_values=np.array([1.0, 0.5]), dt=1.0, zero_flags=zero)
         rows = list(_spectrum_rows(result, [0], []))
         assert rows[0][2:4] == (np.log(0.5 + 0.25j).real, np.log(0.5 + 0.25j).imag)
         assert rows[0][6] == "slow"
