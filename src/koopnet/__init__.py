@@ -42,7 +42,6 @@ from .ifo import (
     AvalancheRecord,
     IfoParams,
     IfoState,
-    advance,
     energy_of_phase,
     lattice_neighbors,
     phase_of_energy,

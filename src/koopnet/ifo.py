@@ -84,11 +84,16 @@ class IfoState:
 @dataclass
 class AvalancheRecord:
     """One resolved avalanche: when it started, how many firings occurred
-    (nodes may fire more than once), and which nodes participated."""
+    and which nodes participated. No node fires twice in one avalanche
+    (see :func:`_resolve_inplace`), so size == len(participants)."""
 
     start_time: float
     size: int
     participants: set[int] = field(default_factory=set)
+
+
+# a threshold count no kick count reaches: fired nodes and the sentinel
+_NEVER = np.iinfo(np.intp).max
 
 
 def _check_boundary(boundary: str) -> None:
@@ -102,14 +107,24 @@ def _kicks_reach_threshold(degree: int, gamma: float, eps: float) -> bool:
     in exact arithmetic, but within rounding of 1/degree the map can land
     on E = 1.0, and a node that fires with all its neighbors then fires
     again in every sweep."""
+    return bool(_kick_orbits(np.zeros(1), degree, gamma, eps)[-1, 0] >= 1.0)
+
+
+def _kick_orbits(theta: np.ndarray, degree: int, gamma: float, eps: float) -> np.ndarray:
+    """(degree + 1, len(theta)) array whose row k is theta after k kicks
+    of the map theta -> E^-1(E(theta) + eps), clamped at 1 once
+    E(theta) + eps >= 1 (the surplus is dissipated). Once a phase
+    reaches 1 it stays there, since E(1) is exactly 1."""
     em1 = np.expm1(-gamma)
-    th = np.zeros(1)
-    for _ in range(degree):
-        e = _energy(th, gamma, em1) + eps
-        if e[0] >= 1.0:
-            return True
-        th = _phase(e, gamma, em1)
-    return bool(th[0] >= 1.0)
+    orbit = np.empty((degree + 1, theta.size))
+    orbit[0] = theta
+    # log1p of a clamped node's E * em1 may be out of domain; np.where
+    # discards it, so its warning says nothing
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for k in range(degree):
+            e = _energy(orbit[k], gamma, em1) + eps
+            orbit[k + 1] = np.where(e >= 1.0, 1.0, _phase(e, gamma, em1))
+    return orbit
 
 
 def _neighbor_table(rows: int, cols: int, boundary: str) -> np.ndarray:
@@ -181,14 +196,6 @@ def phase_of_energy(e, gamma):
     return out if out.ndim else float(out)
 
 
-def advance(state: IfoState, params: IfoParams, dt: float) -> IfoState:
-    """Drift every phase upward by dt at unit rate. Phases may land at or
-    above 1 afterwards; resolution is a separate step."""
-    if not 0 < dt < np.inf:
-        raise DomainError(f"dt must be finite and > 0, got {dt}")
-    return IfoState(theta=state.theta + dt, time=state.time + dt)
-
-
 def _resolve_inplace(theta: np.ndarray, params: IfoParams,
                      table: np.ndarray, time: float) -> AvalancheRecord | None:
     """Fire all at-threshold nodes, sweep by sweep, mutating theta.
@@ -198,61 +205,66 @@ def _resolve_inplace(theta: np.ndarray, params: IfoParams,
     by the map theta -> E^-1(E(min(theta, 1)) + eps), clamped at 1 (the
     surplus is dissipated and j fires in a later sweep).
 
-    Each sweep is resolved as whole arrays over ``table`` (see
-    :func:`_neighbor_table`), giving the same bits as firing one node at
-    a time. All nodes at threshold reset at once, and one bincount gives
-    each node's kick count m_j. A firing node counts only its firing
-    neighbors of higher index: a kick that arrives before it fires finds
-    its phase >= 1 and the clamp undoes it. Then the map is applied m_j
-    times, in rounds over the nodes with m_j >= 1, 2, ...; applying it
-    once to E(theta) + m_j * eps would differ in the last bit, since
-    rounding does not commute with the map. A kicked node's phase is
-    <= 1 (below 1 before, 0 if it fired, and the map stays <= 1), so
-    min(theta, 1) is the identity here and is skipped. Only kicked nodes
-    can fire in the next sweep. Every kick goes through numpy's ufuncs
-    (the private energy/phase helpers), never ``math``: libm's expm1 and
-    log1p round differently from numpy's vectorized ones on some inputs.
+    The cascade is resolved in integers, giving the same bits as firing
+    one node at a time. No node fires twice in one avalanche: IfoParams
+    rejects any eps for which ``degree`` kicks take a reset node to the
+    threshold, and after a node fires only its neighbors that have not
+    yet fired can kick it, once each. So a node's phase after k kicks is
+    f^k(theta_0), or f^k(0) once it has fired, in whatever sweeps the
+    kicks arrive. Those orbits, k = 0..degree, are computed once per
+    avalanche over the whole lattice (:func:`_kick_orbits`), and with
+    them the number of kicks that takes each node to the threshold.
+
+    Each sweep then only counts kicks. A firing node's count resets to 0.
+    It kicks each neighbor in ``table`` (see :func:`_neighbor_table`)
+    except the firing ones of higher index: their phase is still >= 1
+    when the kick arrives, and the clamp undoes it. The next sweep fires
+    the kicked nodes, not yet fired, whose count reaches their threshold
+    count, in ascending order. As each sweep fires only nodes that never
+    fired, there are at most n sweeps. At the end each phase is read off
+    its orbit at its final count. A phase that starts above 1 fires in the
+    first sweep and its orbit is never read, so min(theta, 1) is not
+    needed. Every kick goes through numpy's ufuncs (the private
+    energy/phase helpers), never ``math``: libm's expm1 and log1p round
+    differently from numpy's vectorized ones on some inputs.
     """
     firing = np.flatnonzero(theta >= 1.0)
     if firing.size == 0:
         return None
-    gamma, eps = params.gamma, params.epsilon
-    em1 = np.expm1(-gamma)
-    if eps == 0.0:
+    n = theta.size
+    if params.epsilon == 0.0:
         # uncoupled: no kicks at all (E^-1(E(theta)) need not round-trip)
         table = table[:, :0]
-    n = theta.size
-    # slot n is the table's sentinel: phase 0, its kicks are discarded
-    th = np.append(theta, 0.0)
-    size = 0
-    participants: set[int] = set()
-    # Dissipative coupling bounds total sweeps; the guard is defensive only.
-    # In Python floats, a subnormal eps makes it inf rather than an error.
-    per_sweep = 1.0 / float(eps) + 1.0 if eps > 0 else 1.0
-    max_sweeps = n * per_sweep + 2
-    sweeps = 0
-    # log1p of a clamped node's E * em1 may be out of domain; it is
-    # overwritten by 1.0, so its warning says nothing
-    with np.errstate(invalid="ignore", divide="ignore"):
-        while sweeps < max_sweeps:
-            sweeps += 1
-            size += firing.size
-            participants.update(firing.tolist())
-            nb = table[firing]
-            nb[(th[nb] >= 1.0) & (nb > firing[:, None])] = n
-            th[firing] = 0.0
-            kicks = np.bincount(nb.ravel(), minlength=n + 1)[:n]
-            kicked = np.flatnonzero(kicks > 0)  # a bool mask is faster to scan
-            kicks = kicks[kicked]
-            for r in range(1, kicks.max(initial=0) + 1):
-                idx = kicked[kicks >= r]
-                e = _energy(th[idx], gamma, em1) + eps
-                th[idx] = np.where(e >= 1.0, 1.0, _phase(e, gamma, em1))
-            firing = kicked[th[kicked] >= 1.0]
-            if firing.size == 0:
-                theta[:] = th[:n]
-                return AvalancheRecord(start_time=time, size=size, participants=participants)
-    raise KoopnetError("avalanche did not terminate within the sweep bound")
+    degree = table.shape[1]
+    # column n is the table's sentinel, a node that has fired: its orbit
+    # is the reset node's, and the kicks it is sent are discarded
+    orbit = _kick_orbits(np.append(theta, 0.0), degree, params.gamma, params.epsilon)
+    if orbit[-1, n] >= 1.0:
+        raise KoopnetError(
+            f"avalanche did not terminate: {degree} kicks take a reset node to the threshold"
+        )
+    # the kicks that take each node to the threshold: an orbit that
+    # reaches 1 stays there, so the count of its rows below 1 (degree + 1,
+    # beyond any node's kick count, if it never does)
+    need = np.count_nonzero(orbit < 1.0, axis=0)
+    need[n] = _NEVER
+    kicks = np.zeros(n + 1, dtype=np.intp)
+    at_threshold = kicks >= need
+    sweeps = []
+    while firing.size:
+        sweeps.append(firing)
+        nb = table[firing]
+        nb[at_threshold[nb] & (nb > firing[:, None])] = n
+        kicks[firing] = 0
+        need[firing] = _NEVER
+        np.add.at(kicks, nb, 1)
+        at_threshold = kicks >= need
+        firing = np.flatnonzero(at_threshold)
+    fired = np.concatenate(sweeps)
+    column = np.arange(n)
+    column[fired] = n
+    theta[:] = orbit[kicks[:n], column]
+    return AvalancheRecord(start_time=time, size=fired.size, participants=set(fired.tolist()))
 
 
 def _check_finite(theta: np.ndarray) -> None:

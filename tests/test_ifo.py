@@ -17,7 +17,6 @@ from koopnet import (
     IfoParams,
     IfoState,
     KoopnetError,
-    advance,
     energy_of_phase,
     lattice_neighbors,
     phase_of_energy,
@@ -68,7 +67,8 @@ def reference_resolve(theta, params, time=0.0):
     """Reference kernel: the per-firing loop. Within a sweep the nodes at
     threshold fire in ascending index, and each kicks its neighbors one
     at a time through the public energy map, clamped at 1. Raises
-    KoopnetError past the kernel's sweep bound."""
+    KoopnetError past a sweep bound that no avalanche reaches when, as
+    IfoParams checks, no node can fire twice."""
     theta = np.array(theta, dtype=float)
     gamma, eps = params.gamma, params.epsilon
     nbrs = reference_neighbors(params.rows, params.cols, params.boundary)
@@ -278,34 +278,6 @@ class TestLattice:
                         IfoParams(epsilon=1.0 / degree, **kwargs)
 
 
-class TestAdvance:
-    def test_uniform_drift(self):
-        state = IfoState(theta=np.array([0.2, 0.5]))
-        p = IfoParams(gamma=GAMMA, epsilon=0.145, rows=1, cols=2)
-        out = advance(state, p, 0.3)
-        assert np.allclose(out.theta, [0.5, 0.8])
-        assert out.time == pytest.approx(0.3)
-
-    def test_may_cross_threshold(self):
-        state = IfoState(theta=np.array([0.99, 0.1]))
-        p = IfoParams(gamma=GAMMA, epsilon=0.145, rows=1, cols=2)
-        out = advance(state, p, 0.05)
-        assert out.theta[0] >= 1.0
-
-    def test_rejects_nonpositive_dt(self):
-        state = IfoState(theta=np.array([0.2]))
-        p = IfoParams(gamma=GAMMA, epsilon=0.0, rows=1, cols=1)
-        with pytest.raises(DomainError):
-            advance(state, p, 0.0)
-
-    @pytest.mark.parametrize("dt", [np.inf, np.nan])
-    def test_rejects_non_finite_dt(self, dt):
-        state = IfoState(theta=np.array([0.2]))
-        p = IfoParams(gamma=GAMMA, epsilon=0.0, rows=1, cols=1)
-        with pytest.raises(DomainError, match="dt must be finite and > 0"):
-            advance(state, p, dt)
-
-
 class TestResolveAvalanche:
     def test_single_firing_on_chain(self):
         # E = [1.0, 0.5, 0.2] on a 3-chain: only node 0 fires, node 1
@@ -374,7 +346,7 @@ class TestResolveAvalanche:
             out, rec = resolve_avalanche(IfoState(theta=theta), p)
             assert rec is not None
             assert np.all(out.theta < 1.0)
-            assert rec.size <= 9 * int(np.ceil(1.0 / 0.145))
+            assert rec.size == len(rec.participants) <= 9
 
 
 class TestPerFiringReference:
@@ -393,6 +365,9 @@ class TestPerFiringReference:
         assert (rec is None) == (ref is None)
         if rec is not None:
             assert (rec.size, rec.participants) == (ref.size, ref.participants)
+            # the kernel relies on no node firing twice in one avalanche
+            assert rec.size == len(rec.participants)
+        return rec
 
     @settings(max_examples=400, deadline=None)
     @given(case=lattice_states())
@@ -419,6 +394,42 @@ class TestPerFiringReference:
                 theta = 0.8 + 0.2 * rng.random(rows * cols)
                 theta[rng.integers(rows * cols, size=2)] = [1.0, 1.5]
                 self.assert_same(p, theta)
+
+    @pytest.mark.parametrize("low", [0.0, 0.5])
+    def test_resolve_matches_reference_on_the_benchmark_lattice(self, low):
+        # the 64x64 open lattice of the ifo-lattice workload, from uniform
+        # phases in [low, 1) with five nodes at the threshold: from [0, 1)
+        # a small avalanche, from [0.5, 1) one that spans the lattice in
+        # many sweeps
+        p = IfoParams(gamma=GAMMA, epsilon=0.145, rows=64, cols=64)
+        rng = np.random.default_rng(14)
+        theta = low + (1.0 - low) * rng.random(p.n_nodes)
+        theta[rng.choice(p.n_nodes, 5, replace=False)] = 1.0
+        rec = self.assert_same(p, theta)
+        if low:
+            assert rec.size == p.n_nodes
+        else:
+            assert 1 < rec.size < 100
+
+    def test_resolve_matches_reference_when_every_node_is_at_threshold(self):
+        # a single sweep over the whole benchmark lattice: each node's
+        # kicks reach only its neighbors of lower index, which have reset
+        p = IfoParams(gamma=GAMMA, epsilon=0.145, rows=64, cols=64)
+        rec = self.assert_same(p, np.ones(p.n_nodes))
+        assert rec.size == p.n_nodes
+
+    def test_non_terminating_coupling_raises(self):
+        # IfoParams rejects this epsilon (see
+        # test_config_rejects_coupling_that_rounds_to_the_threshold); set
+        # past that check, the per-firing loop fires forever and the
+        # kernel refuses to start
+        eps = 0.24999999999999997
+        p = IfoParams(gamma=9.0, epsilon=np.nextafter(eps, 0.0), rows=3, cols=3,
+                      boundary="periodic")
+        object.__setattr__(p, "epsilon", eps)
+        with pytest.raises(KoopnetError, match="did not terminate"):
+            reference_resolve(np.ones(9), p)
+        self.assert_same(p, np.ones(9))
 
     def test_simulate_matches_reference(self):
         p = IfoParams(gamma=GAMMA, epsilon=0.145, rows=12, cols=12, seed=4)
@@ -495,8 +506,8 @@ class TestSimulate:
             simulate_ifo(p, 10, initial=IfoState(theta=[0.2, bad, 0.4, 0.6]))
 
     def test_subnormal_epsilon_runs(self):
-        # 1/eps overflows to inf here; the sweep bound must not turn it
-        # into an int
+        # 1/eps overflows to inf here, and a kick leaves E all but
+        # unchanged; every avalanche must still settle
         p = IfoParams(gamma=GAMMA, epsilon=5e-324, rows=3, cols=3)
         snaps, records = simulate_ifo(p, 200)
         assert records and np.all(snaps.data < 1.0)
