@@ -1,6 +1,8 @@
 """Simulators for self-organizing network models plus data-driven
 spectral analysis of their regime transitions."""
 
+from types import ModuleType as _ModuleType
+
 from .analysis import (
     ModeEntry,
     SpatialPattern,
@@ -16,9 +18,6 @@ from .analysis import (
 )
 from .bak_sneppen import (
     BsParams,
-    BsState,
-    average_fitness,
-    bs_step,
     estimate_threshold,
     simulate_bs,
 )
@@ -43,7 +42,6 @@ from .ifo import (
     IfoParams,
     IfoState,
     energy_of_phase,
-    lattice_neighbors,
     phase_of_energy,
     resolve_avalanche,
     simulate_ifo,
@@ -53,4 +51,6 @@ from .snapshots import SnapshotMatrix
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names bound above, not the submodules their imports bind
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

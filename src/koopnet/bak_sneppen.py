@@ -32,43 +32,20 @@ class BsParams:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-@dataclass
-class BsState:
-    """Fitness vector on the ring plus an update counter."""
-
-    fitness: np.ndarray
-    iteration: int = 0
-
-    def __post_init__(self):
-        self.fitness = np.asarray(self.fitness, dtype=float)
-        if self.fitness.ndim != 1:
-            raise ConfigError("fitness must be a 1-D vector")
-        if np.any(self.fitness < 0) or np.any(self.fitness > 1):
-            raise ConfigError("fitness values outside [0, 1]")
-
-
 def _replace_minimum(fitness: np.ndarray, draws: np.ndarray) -> int:
-    """The update of :func:`bs_step`, in place, with the three draws
-    given; returns the index of the replaced minimum."""
+    """One update, in place: redraw the minimum-fitness site and its two
+    ring neighbors. Ties at the minimum break to the lowest index; the
+    three draws go to the left neighbor, the center and the right
+    neighbor, in that order, so RNG streams are reproducible.
+
+    Returns the index of the replaced minimum.
+    """
     n = fitness.shape[0]
     i_min = int(np.argmin(fitness))
     fitness[(i_min - 1) % n] = draws[0]
     fitness[i_min] = draws[1]
     fitness[(i_min + 1) % n] = draws[2]
     return i_min
-
-
-def bs_step(state: BsState, rng: np.random.Generator) -> tuple[BsState, int]:
-    """One update: redraw the minimum-fitness site and its two ring
-    neighbors from U[0, 1]. Ties at the minimum break to the lowest
-    index; the three replacement draws are consumed in left-neighbor,
-    center, right-neighbor order so RNG streams are reproducible.
-
-    Returns the new state and the index of the replaced minimum.
-    """
-    fitness = state.fitness.copy()
-    i_min = _replace_minimum(fitness, rng.random(3))
-    return BsState(fitness=fitness, iteration=state.iteration + 1), i_min
 
 
 def simulate_bs(params: BsParams, n_iterations: int) -> tuple[SnapshotMatrix, list[int]]:
@@ -87,11 +64,6 @@ def simulate_bs(params: BsParams, n_iterations: int) -> tuple[SnapshotMatrix, li
         min_history.append(_replace_minimum(fitness, draws[k]))
         snaps[k] = fitness
     return SnapshotMatrix(data=snaps, dt=1.0), min_history
-
-
-def average_fitness(state: BsState) -> float:
-    """Arithmetic mean of the fitness vector."""
-    return float(np.mean(state.fitness))
 
 
 def estimate_threshold(snapshots: SnapshotMatrix, burn_in: int) -> float:

@@ -74,7 +74,7 @@ class RunConfig(AnalysisConfig):
     n: int = 100
 
 
-def _simulate(config: RunConfig) -> SnapshotMatrix:
+def cmd_simulate(config: RunConfig) -> SnapshotMatrix:
     """Run the configured model, write events.csv, snapshots.csv and
     meta.csv to the output directory, and return the record."""
     out = Path(config.output_dir)
@@ -106,11 +106,6 @@ def _simulate(config: RunConfig) -> SnapshotMatrix:
     return snapshots
 
 
-def cmd_simulate(config: RunConfig) -> int:
-    _simulate(config)
-    return 0
-
-
 def _spectrum_rows(result, slow, fast):
     """One spectrum row per retained mode, from Python scalars; a
     zero-flagged mode's re_mu and im_mu are NaN, its group 'excluded'."""
@@ -128,22 +123,7 @@ def _mode_rows(name: str, labels: list[str], mode: np.ndarray) -> list[tuple]:
     return [(name, node, v.real, v.imag, abs(v)) for node, v in zip(labels, mode.tolist())]
 
 
-def cmd_analyze(snapshots_path: Path, config: AnalysisConfig,
-                out_dir: Path | None = None, dt: float | None = None) -> int:
-    snapshots_path = Path(snapshots_path)
-    out = Path(out_dir) if out_dir is not None else snapshots_path.parent
-    if dt is None:
-        meta_path = snapshots_path.parent / "meta.csv"
-        meta = kio.read_meta(meta_path) if meta_path.exists() else {}
-        try:
-            dt = float(meta.get("dt", 1.0))
-        except ValueError as exc:
-            raise kio.FileFormatError(f"{meta_path}: dt: {exc}") from None
-    _analyze(kio.read_snapshots(snapshots_path, dt=dt), config, out)
-    return 0
-
-
-def _analyze(snapshots: SnapshotMatrix, config: AnalysisConfig, out: Path) -> None:
+def cmd_analyze(snapshots: SnapshotMatrix, config: AnalysisConfig, out: Path) -> None:
     """Windowed DMD of a record; writes the spectrum and mode files of
     every window, amplitudes.csv, transition.csv and report.md to `out`."""
     out.mkdir(parents=True, exist_ok=True)
@@ -236,11 +216,23 @@ def _render_report(snapshots: SnapshotMatrix, windows, report, warnings, jump_th
     return "\n".join(lines) + "\n"
 
 
-def cmd_pipeline(config: RunConfig) -> int:
+def cmd_pipeline(config: RunConfig) -> None:
     """Simulate, then analyze the record in memory: the artifacts are
     the same bytes `simulate` followed by `analyze` would write."""
-    _analyze(_simulate(config), config, Path(config.output_dir))
-    return 0
+    cmd_analyze(cmd_simulate(config), config, Path(config.output_dir))
+
+
+def _read_record(path: Path, dt: float | None) -> SnapshotMatrix:
+    """The record in the snapshots file at `path`. Its dt is `dt`, or
+    else meta.csv's beside the file, or else 1.0."""
+    if dt is None:
+        meta_path = path.parent / "meta.csv"
+        meta = kio.read_meta(meta_path) if meta_path.exists() else {}
+        try:
+            dt = float(meta.get("dt", 1.0))
+        except ValueError as exc:
+            raise kio.FileFormatError(f"{meta_path}: dt: {exc}") from None
+    return kio.read_snapshots(path, dt=dt)
 
 
 def _defaults(cls) -> dict:
@@ -308,13 +300,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "simulate":
-            return cmd_simulate(_config_from_args(RunConfig, args))
-        if args.command == "analyze":
-            return cmd_analyze(Path(args.snapshots), _config_from_args(AnalysisConfig, args),
-                               out_dir=args.out, dt=args.dt)
-        if args.command == "pipeline":
-            return cmd_pipeline(_config_from_args(RunConfig, args))
-        parser.error(f"unknown command {args.command!r}")
+            cmd_simulate(_config_from_args(RunConfig, args))
+        elif args.command == "analyze":
+            # the flags are checked before the input is read
+            config = _config_from_args(AnalysisConfig, args)
+            path = Path(args.snapshots)
+            out = Path(args.out) if args.out is not None else path.parent
+            cmd_analyze(_read_record(path, args.dt), config, out)
+        else:
+            cmd_pipeline(_config_from_args(RunConfig, args))
     except (KoopnetError, OSError) as exc:
         print(f"koopnet: error: {exc}", file=sys.stderr)
         return 1

@@ -48,8 +48,9 @@ class IfoParams:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.rows < 1 or self.cols < 1:
             raise ConfigError(f"lattice must be >= 1x1, got {self.rows}x{self.cols}")
-        _check_boundary(self.boundary)
-        # lattice_neighbors' max degree, either boundary: <= 2 neighbors per axis
+        if self.boundary not in ("open", "periodic"):
+            raise ConfigError(f"boundary must be 'open' or 'periodic', got {self.boundary!r}")
+        # the neighbor table's max degree, either boundary: <= 2 neighbors per axis
         max_degree = min(self.rows - 1, 2) + min(self.cols - 1, 2)
         if max_degree * self.epsilon >= 1.0:
             raise ConfigError(
@@ -96,11 +97,6 @@ class AvalancheRecord:
 _NEVER = np.iinfo(np.intp).max
 
 
-def _check_boundary(boundary: str) -> None:
-    if boundary not in ("open", "periodic"):
-        raise ConfigError(f"boundary must be 'open' or 'periodic', got {boundary!r}")
-
-
 def _kicks_reach_threshold(degree: int, gamma: float, eps: float) -> bool:
     """Whether `degree` kicks, through the simulator's own kick map, take
     a node from phase 0 to the threshold. degree * eps < 1 rules that out
@@ -133,9 +129,9 @@ def _neighbor_table(rows: int, cols: int, boundary: str) -> np.ndarray:
 
     Open boundary drops out-of-range neighbors; periodic wraps. A wrap
     that lands on the node itself (a 1-wide dimension) or on a neighbor
-    already listed (a 2-wide one) is dropped.
+    already listed (a 2-wide one) is dropped. `boundary` comes from an
+    :class:`IfoParams`, which has checked it.
     """
-    _check_boundary(boundary)
     n = rows * cols
     node = np.arange(n)
     r, c = np.divmod(node, cols)
@@ -151,14 +147,6 @@ def _neighbor_table(rows: int, cols: int, boundary: str) -> np.ndarray:
     table[:, 1:][table[:, 1:] == table[:, :-1]] = n
     table.sort(axis=1)
     return table[:, :np.count_nonzero(table < n, axis=1).max(initial=0)]
-
-
-def lattice_neighbors(rows: int, cols: int, boundary: str) -> list[np.ndarray]:
-    """4-neighborhood adjacency for a rows x cols lattice, row-major
-    node indexing: the sorted rows of the simulator's neighbor table
-    without their padding."""
-    n = rows * cols
-    return [row[row < n] for row in _neighbor_table(rows, cols, boundary)]
 
 
 def _energy(theta, gamma, em1):

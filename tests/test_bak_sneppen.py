@@ -7,61 +7,56 @@ from hypothesis import strategies as st
 
 from koopnet import (
     BsParams,
-    BsState,
     ConfigError,
     InsufficientDataError,
     SnapshotMatrix,
-    average_fitness,
-    bs_step,
     estimate_threshold,
     simulate_bs,
 )
+from koopnet.bak_sneppen import _replace_minimum
+
+DRAWS = np.array([0.31, 0.52, 0.73])
 
 
 class TestStep:
+    """The update step, `_replace_minimum`, with explicit draws."""
+
     def test_replaces_minimum_and_both_neighbors(self):
-        state = BsState(fitness=np.array([0.9, 0.1, 0.8, 0.7]))
-        new, i_min = bs_step(state, np.random.default_rng(0))
-        assert i_min == 1
-        changed = np.flatnonzero(new.fitness != state.fitness)
-        assert set(changed) <= {0, 1, 2}
-        assert new.fitness[3] == state.fitness[3]
+        fitness = np.array([0.9, 0.1, 0.8, 0.7])
+        assert _replace_minimum(fitness, DRAWS) == 1
+        assert fitness.tolist() == [0.31, 0.52, 0.73, 0.7]
 
     def test_ring_wraparound(self):
-        state = BsState(fitness=np.array([0.05, 0.8, 0.8, 0.8]))
-        new, i_min = bs_step(state, np.random.default_rng(0))
-        assert i_min == 0
-        # neighbors of site 0 on the ring are 3 and 1
-        assert new.fitness[2] == state.fitness[2]
+        # neighbors of site 0 on the ring are 3 (left) and 1 (right)
+        fitness = np.array([0.05, 0.8, 0.8, 0.8])
+        assert _replace_minimum(fitness, DRAWS) == 0
+        assert fitness.tolist() == [0.52, 0.73, 0.8, 0.31]
 
     def test_tie_breaks_to_lowest_index(self):
-        state = BsState(fitness=np.array([0.2, 0.2, 0.9, 0.9]))
-        new, i_min = bs_step(state, np.random.default_rng(42))
-        assert i_min == 0
-        assert new.fitness[2] == state.fitness[2]
+        fitness = np.array([0.9, 0.2, 0.2, 0.9, 0.9])
+        assert _replace_minimum(fitness, DRAWS) == 1
+        assert fitness.tolist() == [0.31, 0.52, 0.73, 0.9, 0.9]
 
     def test_minimum_ring_replaces_everything(self):
-        state = BsState(fitness=np.array([0.5, 0.1, 0.9]))
-        new, _ = bs_step(state, np.random.default_rng(7))
         # n = 3: the replaced triple is the whole ring
-        assert np.all(new.fitness != state.fitness)
-
-    def test_iteration_counter(self):
-        state = BsState(fitness=np.array([0.5, 0.1, 0.9]), iteration=4)
-        new, _ = bs_step(state, np.random.default_rng(0))
-        assert new.iteration == 5
+        fitness = np.array([0.5, 0.1, 0.9])
+        assert _replace_minimum(fitness, DRAWS) == 1
+        assert fitness.tolist() == [0.31, 0.52, 0.73]
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**31), n=st.integers(3, 40))
     def test_step_invariants_property(self, seed, n):
         rng = np.random.default_rng(seed)
-        state = BsState(fitness=rng.random(n))
-        new, i_min = bs_step(state, rng)
-        assert i_min == int(np.argmin(state.fitness))
-        assert np.all((new.fitness >= 0) & (new.fitness <= 1))
-        changed = np.flatnonzero(new.fitness != state.fitness)
+        before = rng.random(n)
+        draws = rng.random(3)
+        fitness = before.copy()
+        i_min = _replace_minimum(fitness, draws)
+        assert i_min == int(np.argmin(before))
+        assert np.all((fitness >= 0) & (fitness <= 1))
+        changed = np.flatnonzero(fitness != before)
         allowed = {(i_min - 1) % n, i_min, (i_min + 1) % n}
         assert set(changed.tolist()) <= allowed
+        assert fitness[[(i_min - 1) % n, i_min, (i_min + 1) % n]].tolist() == draws.tolist()
 
 
 class TestSimulate:
@@ -72,16 +67,21 @@ class TestSimulate:
         assert len(history) == 50
 
     def test_matches_stepwise_evolution(self):
-        # the vectorized simulator must reproduce repeated bs_step calls
-        # on the same seed, draw for draw
+        # independent pure-Python oracle on the same PCG64 stream: n
+        # draws for the initial ring, then one 3-draw block per step
         params = BsParams(n=8, seed=21)
         snaps, history = simulate_bs(params, 40)
         rng = np.random.default_rng(params.seed)
-        state = BsState(fitness=rng.random(params.n))
+        fitness = rng.random(params.n).tolist()
+        n = params.n
         for k in range(40):
-            state, i_min = bs_step(state, rng)
+            left, centre, right = rng.random(3).tolist()
+            i_min = fitness.index(min(fitness))
+            fitness[(i_min - 1) % n] = left
+            fitness[i_min] = centre
+            fitness[(i_min + 1) % n] = right
             assert i_min == history[k]
-            assert np.array_equal(state.fitness, snaps.data[k])
+            assert fitness == snaps.data[k].tolist()
 
     def test_min_history_consistent_with_snapshots(self):
         snaps, history = simulate_bs(BsParams(n=20, seed=2), 200)
@@ -112,12 +112,6 @@ class TestSimulate:
             BsParams(n=5, seed=-1)
         with pytest.raises(ConfigError):
             simulate_bs(BsParams(n=5), 0)
-
-
-class TestAverageFitness:
-    def test_mean(self):
-        state = BsState(fitness=np.array([0.2, 0.4, 0.9]))
-        assert average_fitness(state) == pytest.approx(0.5)
 
 
 class TestEstimateThreshold:

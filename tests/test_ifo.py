@@ -18,12 +18,12 @@ from koopnet import (
     IfoState,
     KoopnetError,
     energy_of_phase,
-    lattice_neighbors,
     phase_of_energy,
     resolve_avalanche,
     simulate_ifo,
     synchronization_onset,
 )
+from koopnet.ifo import _neighbor_table
 
 GAMMA = 2.0
 
@@ -197,16 +197,22 @@ class TestEnergyProfile:
         assert mid >= 0.5 * (e_lo + e_hi) - 1e-12
 
 
+def padded_reference(rows, cols, boundary):
+    """reference_neighbors as the simulator's table: rows padded with the sentinel n."""
+    nbrs = reference_neighbors(rows, cols, boundary)
+    width = max(len(nb) for nb in nbrs)
+    return [nb.tolist() + [rows * cols] * (width - len(nb)) for nb in nbrs]
+
+
 class TestLattice:
     def test_open_corner_edge_interior(self):
-        nbrs = lattice_neighbors(3, 3, "open")
-        assert sorted(nbrs[0]) == [1, 3]          # corner
-        assert sorted(nbrs[1]) == [0, 2, 4]       # edge
-        assert sorted(nbrs[4]) == [1, 3, 5, 7]    # interior
+        table = _neighbor_table(3, 3, "open")
+        assert table[0].tolist() == [1, 3, 9, 9]     # corner
+        assert table[1].tolist() == [0, 2, 4, 9]     # edge
+        assert table[4].tolist() == [1, 3, 5, 7]     # interior
 
     def test_periodic_wrap(self):
-        nbrs = lattice_neighbors(3, 3, "periodic")
-        assert sorted(nbrs[0]) == [1, 2, 3, 6]
+        assert _neighbor_table(3, 3, "periodic")[0].tolist() == [1, 2, 3, 6]
 
     @pytest.mark.parametrize("boundary", ["open", "periodic"])
     def test_matches_per_node_reference(self, boundary):
@@ -214,16 +220,15 @@ class TestLattice:
         # onto a neighbor already listed
         for rows in range(1, 8):
             for cols in range(1, 8):
-                got = lattice_neighbors(rows, cols, boundary)
-                want = reference_neighbors(rows, cols, boundary)
-                assert [a.tolist() for a in got] == [b.tolist() for b in want]
+                table = _neighbor_table(rows, cols, boundary)
+                assert table.tolist() == padded_reference(rows, cols, boundary)
 
     def test_symmetry(self):
         for boundary in ("open", "periodic"):
-            nbrs = lattice_neighbors(4, 5, boundary)
-            for i, cur in enumerate(nbrs):
-                for j in cur:
-                    assert i in nbrs[j]
+            table = _neighbor_table(4, 5, boundary)
+            for i, row in enumerate(table):
+                for j in row[row < 20]:
+                    assert i in table[j]
 
     def test_config_rejects_nondissipative_coupling(self):
         with pytest.raises(ConfigError):
@@ -243,9 +248,7 @@ class TestLattice:
         IfoParams(gamma=2.0, epsilon=0.145, rows=64, cols=64)
         IfoParams(gamma=2.0, epsilon=0.145, rows=8, cols=8)
 
-    def test_lattice_neighbors_rejects_misspelled_boundary(self):
-        with pytest.raises(ConfigError, match="boundary must be 'open' or 'periodic'"):
-            lattice_neighbors(2, 2, "periodc")
+    def test_config_rejects_misspelled_boundary(self):
         with pytest.raises(ConfigError, match="boundary must be 'open' or 'periodic'"):
             IfoParams(gamma=2.0, epsilon=0.145, rows=2, cols=2, boundary="periodc")
 
@@ -268,7 +271,7 @@ class TestLattice:
         for boundary in ("open", "periodic"):
             for rows in range(1, 8):
                 for cols in range(1, 8):
-                    degree = max(len(nb) for nb in lattice_neighbors(rows, cols, boundary))
+                    degree = _neighbor_table(rows, cols, boundary).shape[1]
                     kwargs = {"gamma": 2.0, "rows": rows, "cols": cols, "boundary": boundary}
                     if degree == 0:
                         IfoParams(epsilon=10.0, **kwargs)

@@ -1,5 +1,7 @@
 """CSV artifact and command-line interface tests."""
 
+import importlib.util
+import sys
 import tempfile
 from pathlib import Path
 
@@ -29,6 +31,9 @@ def random_doubles(rng, shape):
     mant = rng.normal(size=shape)
     expo = rng.integers(-40, 40, size=shape)
     return np.ldexp(mant, expo)
+
+
+SPANS_PY = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
 
 def repr_oracle(data):
@@ -418,6 +423,11 @@ class TestCli:
         assert f"koopnet: error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "snapshots.csv").exists()
 
+    def test_bad_analysis_flag_exits_before_reading(self, tmp_path, capsys):
+        status = main(["analyze", str(tmp_path / "missing.csv"), "--rank", "-1"])
+        assert status == 1
+        assert "koopnet: error: requested rank must be >= 1" in capsys.readouterr().err
+
     def test_analyze_rejects_infinite_dt(self, tmp_path, capsys):
         path = tmp_path / "snapshots.csv"
         rng = np.random.default_rng(0)
@@ -448,3 +458,25 @@ class TestCli:
         status = main(["simulate", "--model", "bs", "--steps", "30", "--n", "8"])
         assert status == 0
         assert (tmp_path / "envout" / "snapshots.csv").exists()
+
+
+def test_pipeline_runs_through_the_benchmark_bindings(tmp_path, monkeypatch):
+    # the benchmark's tracer times `simulate` and `analyze` by wrapping
+    # cli.cmd_simulate and cli.cmd_analyze, and raises on a binding that
+    # no longer exists; the pipeline must call both through them
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS_PY)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    try:
+        # a missing binding raises here, after patching the ones before it
+        tracer.install()
+        status = main(["pipeline", "--model", "bs", "--n", "10", "--steps", "300",
+                       "--window", "100", "--out", str(tmp_path)])
+    finally:
+        tracer.uninstall()
+    assert status == 0
+    totals = tracer.totals()
+    assert totals["cli.cmd_simulate"][0] == 1
+    assert totals["cli.cmd_analyze"][0] == 1
