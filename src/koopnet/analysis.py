@@ -235,26 +235,28 @@ def spatial_pattern(mode: np.ndarray, labels: list[str] | None = None) -> Spatia
     mode = np.asarray(mode)
     if mode.ndim != 1 or mode.shape[0] < 1:
         raise ConfigError("mode must be a non-empty 1-D vector")
-    mags = np.abs(mode)
+    # the loop runs on Python floats, where the same IEEE comparisons and
+    # arithmetic cost a fraction of what they do on numpy scalars
+    mags = np.abs(mode).astype(float, copy=False).tolist()
     if labels is None:
-        labels = [f"n{i}" for i in range(mags.shape[0])]
-    elif len(labels) != mags.shape[0]:
-        raise ConfigError(f"{len(labels)} labels for {mags.shape[0]} components")
+        labels = [f"n{i}" for i in range(len(mags))]
+    elif len(labels) != len(mags):
+        raise ConfigError(f"{len(labels)} labels for {len(mags)} components")
 
     groups: list[list[int]] = []
     cur = [0]
     lo = hi = mags[0]
-    for i in range(1, mags.shape[0]):
-        new_lo, new_hi = min(lo, mags[i]), max(hi, mags[i])
+    for i in range(1, len(mags)):
+        # min(lo, m) and max(hi, m), without the builtins' call overhead
+        m = mags[i]
+        new_lo = m if m < lo else lo
+        new_hi = m if m > hi else hi
         if new_hi - new_lo <= 0.1 * new_hi:
             cur.append(i)
             lo, hi = new_lo, new_hi
         else:
             groups.append(cur)
             cur = [i]
-            lo = hi = mags[i]
+            lo = hi = m
     groups.append(cur)
-    return SpatialPattern(
-        entries=[(labels[i], float(mags[i])) for i in range(mags.shape[0])],
-        groups=groups,
-    )
+    return SpatialPattern(entries=list(zip(labels, mags)), groups=groups)

@@ -285,3 +285,26 @@ class TestSpatialPattern:
         base_mags = [m for _, m in base.entries]
         perm_mags = [m for _, m in permuted.entries]
         assert perm_mags == [base_mags[i] for i in perm]
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**31), n=st.integers(1, 40))
+    def test_groups_match_their_definition_property(self, seed, n):
+        # each group is a maximal run, taken left to right, whose max -
+        # min is within 10% of its max; magnitudes drawn from a few
+        # values so that runs of equal magnitude and exact 10% spreads
+        # occur
+        rng = np.random.default_rng(seed)
+        mode = rng.choice([0.0, 0.9, 1.0, 1.1, 2.0, 3.0], size=n) * np.exp(1j * rng.random(n))
+        if rng.random() < 0.5:
+            mode = rng.normal(size=n) + 1j * rng.normal(size=n)
+        mags = np.abs(mode)
+        want, start = [], 0
+        for i in range(1, n + 1):
+            run = mags[start:i + 1]
+            if i == n or run.max() - run.min() > 0.1 * run.max():
+                want.append(list(range(start, i)))
+                start = i
+        pattern = spatial_pattern(mode)
+        assert pattern.groups == want
+        assert pattern.entries == [(f"n{i}", float(m)) for i, m in enumerate(mags)]
+        assert all(type(m) is float for _, m in pattern.entries)

@@ -23,7 +23,8 @@ from koopnet import (
     simulate_ifo,
     synchronization_onset,
 )
-from koopnet.ifo import _neighbor_table
+import koopnet.ifo as ifo
+from koopnet.ifo import _kick_orbits, _kick_setup, _neighbor_table, _resolve_inplace
 
 GAMMA = 2.0
 
@@ -451,6 +452,103 @@ class TestPerFiringReference:
         assert [(r.start_time, r.size, r.participants) for r in records] == \
             [(r.start_time, r.size, r.participants) for r in ref_records]
         assert max(r.size for r in records) == p.n_nodes  # a many-sweep avalanche
+
+
+@st.composite
+def kick_maps(draw):
+    """An IfoParams on a lattice of degree 0 to 4, with a gamma and eps it
+    accepts, tiny gamma and subnormal eps included."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    gamma = draw(st.one_of(st.floats(0.01, 50.0), st.sampled_from([1e-17, 1e-12, 1e-6])))
+    limit = coupling_limit(rows, cols, gamma)
+    eps = draw(st.one_of(st.just(5e-324), st.just(limit), st.floats(0.0, limit)))
+    return IfoParams(gamma=gamma, epsilon=eps, rows=rows, cols=cols)
+
+
+def benchmark_lattice_state(low):
+    # the states of test_resolve_matches_reference_on_the_benchmark_lattice
+    p = IfoParams(gamma=GAMMA, epsilon=0.145, rows=64, cols=64)
+    rng = np.random.default_rng(14)
+    theta = low + (1.0 - low) * rng.random(p.n_nodes)
+    theta[rng.choice(p.n_nodes, 5, replace=False)] = 1.0
+    return p, theta
+
+
+class TestKickThresholds:
+    """The per-run thresholds the kernel counts kicks against, and the
+    exact counts it falls back on when they misjudge a node."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(params=kick_maps(), seed=st.integers(0, 2**32 - 1))
+    def test_thresholds_are_the_least_phases_that_reach_1_property(self, params, seed):
+        table, bins, zero = _kick_setup(params)
+        degree, gamma, eps = table.shape[1], params.gamma, params.epsilon
+        assert bins.size == degree + 1 and bins[-1] == 1.0
+
+        def orbit(theta):
+            return _kick_orbits(np.asarray(theta, dtype=float), degree, gamma, eps)
+
+        for k in range(1, degree + 1):
+            tau = bins[degree - k]
+            assert orbit([tau])[k, 0] >= 1.0
+            assert tau == 0.0 or orbit([np.nextafter(tau, 0.0)])[k, 0] < 1.0
+        assert zero.tobytes() == orbit([0.0])[:, 0].tobytes()
+        # the count digitize predicts is the orbit's exact one, for
+        # uniform phases and for phases within 3 ulps of each threshold
+        near = (bins.view(np.int64)[:, None] + np.arange(-3, 4)).ravel()
+        theta = np.concatenate([np.random.default_rng(seed).random(200),
+                                near[near >= 0].view(np.float64)])
+        exact = np.count_nonzero(orbit(theta) < 1.0, axis=0)
+        assert np.array_equal(bins.size - np.digitize(theta, bins), exact)
+
+    @pytest.mark.parametrize("gamma, eps", [(GAMMA, 0.145), (9.0, 0.24), (1e-17, 0.2)])
+    def test_orbit_of_a_subset_matches_the_whole_lattice(self, gamma, eps):
+        # the kernel's checking orbit runs on the nodes an avalanche
+        # touched, its zero orbit on one element; both must round as the
+        # same columns of a whole-lattice orbit do, wherever a SIMD loop
+        # puts them (slices at every offset, gathered index sets)
+        p = IfoParams(gamma=gamma, epsilon=eps, rows=64, cols=64)
+        table, bins, zero = _kick_setup(p)
+        rng = np.random.default_rng(16)
+        theta = rng.random(p.n_nodes + 1)
+        theta[rng.choice(p.n_nodes, 400, replace=False)] = np.repeat(bins, 80)
+        theta[-1] = 0.0
+        whole = _kick_orbits(theta, table.shape[1], gamma, eps)
+        assert whole[:, -1].tobytes() == zero.tobytes()
+        for _ in range(500):
+            size = int(theta.size ** rng.random())
+            start = rng.integers(theta.size - size + 1)
+            if rng.random() < 0.5:
+                cols = slice(start, start + size)
+            else:
+                cols = rng.choice(theta.size, size, replace=False)
+            sub = _kick_orbits(theta[cols], table.shape[1], gamma, eps)
+            assert sub.tobytes() == np.ascontiguousarray(whole[:, cols]).tobytes()
+
+    @pytest.mark.parametrize("low", [0.0, 0.5])
+    def test_misjudged_thresholds_fall_back_to_exact_counts(self, low, monkeypatch):
+        # thresholds one ulp or 1e-3 off misjudge the count of a node the
+        # avalanche touches; the checking orbit finds it, the cascade
+        # reruns on exact counts, and the result is the per-firing one.
+        # One ulp misjudges only a phase at a threshold or one ulp under
+        # it, so the first firing nodes' neighbors are put there.
+        p, theta = benchmark_lattice_state(low)
+        table, bins, zero = _kick_setup(p)
+        firing = np.flatnonzero(theta >= 1.0)
+        neighbors = np.setdiff1d(table[firing], np.append(firing, p.n_nodes))
+        taus = bins[:-1]
+        theta[neighbors] = np.resize(np.column_stack([taus, np.nextafter(taus, 0.0)]).ravel(),
+                                     neighbors.size)
+        want, ref = reference_resolve(theta, p)
+        cascade, cascades = ifo._cascade, []
+        monkeypatch.setattr(ifo, "_cascade", lambda *a: cascades.append(a) or cascade(*a))
+        shifted = [np.nextafter(taus, 1.0), np.nextafter(taus, 0.0), taus + 1e-3, taus - 1e-3]
+        for wrong, runs in [(bins, 1)] + [(np.append(t, 1.0), 2) for t in shifted]:
+            out, cascades[:] = theta.copy(), []
+            rec = _resolve_inplace(out, p, table, wrong, zero, 0.0)
+            assert out.tobytes() == want.tobytes()
+            assert (rec.size, rec.participants) == (ref.size, ref.participants)
+            assert len(cascades) == runs
 
 
 class TestSimulate:
