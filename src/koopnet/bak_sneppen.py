@@ -32,19 +32,20 @@ class BsParams:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-def _replace_minimum(fitness: np.ndarray, draws: np.ndarray) -> int:
+def _replace_minimum(fitness: np.ndarray, draws) -> int:
     """One update, in place: redraw the minimum-fitness site and its two
     ring neighbors. Ties at the minimum break to the lowest index; the
-    three draws go to the left neighbor, the center and the right
-    neighbor, in that order, so RNG streams are reproducible.
+    three draws (a sequence of floats) go to the left neighbor, the
+    center and the right neighbor, in that order, so RNG streams are
+    reproducible.
 
     Returns the index of the replaced minimum.
     """
-    n = fitness.shape[0]
-    i_min = int(np.argmin(fitness))
-    fitness[(i_min - 1) % n] = draws[0]
-    fitness[i_min] = draws[1]
-    fitness[(i_min + 1) % n] = draws[2]
+    i_min = int(fitness.argmin())
+    left, center, right = draws
+    fitness[i_min - 1] = left  # index -1 is the last site: the ring wraps
+    fitness[i_min] = center
+    fitness[(i_min + 1) % fitness.shape[0]] = right
     return i_min
 
 
@@ -61,7 +62,9 @@ def simulate_bs(params: BsParams, n_iterations: int) -> tuple[SnapshotMatrix, li
     snaps = np.empty((n_iterations, params.n))
     min_history: list[int] = []
     for k in range(n_iterations):
-        min_history.append(_replace_minimum(fitness, draws[k]))
+        # a step's draws as Python floats: a whole-array tolist() would
+        # hold every step's floats at once
+        min_history.append(_replace_minimum(fitness, draws[k].tolist()))
         snaps[k] = fitness
     return SnapshotMatrix(data=snaps, dt=1.0), min_history
 

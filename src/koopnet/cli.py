@@ -117,10 +117,26 @@ def _spectrum_rows(result, slow, fast):
         yield (lam.real, lam.imag, mu.real, mu.imag, amp, norm, group)
 
 
-def _mode_rows(name: str, labels: list[str], mode: np.ndarray) -> list[tuple]:
-    # Python's abs(complex), like numpy's scalar abs, is hypot(re, im);
-    # np.abs over a complex array can round the last bit differently.
-    return [(name, node, v.real, v.imag, abs(v)) for node, v in zip(labels, mode.tolist())]
+def _mode_lines(labels: list[str], named_modes) -> list[str]:
+    """The modes_w*.csv lines of (name, mode column) pairs. A column
+    listed twice (the zero-frequency mode is often a dominant one too)
+    is formatted once, matched by bits: -0.0 == 0.0, but their reprs
+    differ. Python's abs(complex), like numpy's scalar abs, is
+    hypot(re, im); np.abs over a complex array can round the last bit
+    differently."""
+    lines: list[str] = []
+    seen: dict[bytes, tuple[int, list[str]]] = {}
+    for name, mode in named_modes:
+        key = mode.tobytes()
+        if key in seen:
+            cut, first = seen[key]
+            lines += [name + line[cut:] for line in first]
+            continue
+        new = [f"{name},{node},{v.real!r},{v.imag!r},{abs(v)!r}"
+               for node, v in zip(labels, mode.tolist())]
+        seen[key] = (len(name), new)
+        lines += new
+    return lines
 
 
 def cmd_analyze(snapshots: SnapshotMatrix, config: AnalysisConfig, out: Path) -> None:
@@ -144,17 +160,14 @@ def cmd_analyze(snapshots: SnapshotMatrix, config: AnalysisConfig, out: Path) ->
             warnings.append(f"window {w.window_index}: {w.note}")
             continue
 
-        mode_rows = []
-        for rank_i, entry in enumerate(ana.dominant_modes(w.result, 5), start=1):
-            mode_rows += _mode_rows(f"dominant_{rank_i}", labels, entry.mode)
+        named_modes = [(f"dominant_{rank_i}", entry.mode) for rank_i, entry
+                       in enumerate(ana.dominant_modes(w.result, 5), start=1)]
         try:
-            zf = ana.zero_frequency_mode(w.result)
+            named_modes.append(("zero_frequency", ana.zero_frequency_mode(w.result).mode))
         except KoopnetError:
             warnings.append(f"window {w.window_index}: no zero-frequency mode")
-        else:
-            mode_rows += _mode_rows("zero_frequency", labels, zf.mode)
         kio.write_csv(out / f"modes_w{w.window_index}.csv",
-                      ["mode", "node", "re_v", "im_v", "abs_v"], mode_rows)
+                      ["mode", "node", "re_v", "im_v", "abs_v"], _mode_lines(labels, named_modes))
 
     kio.write_csv(out / "amplitudes.csv",
                   ["window_index", "max_amplitude",

@@ -2,12 +2,14 @@
 
 All files are comma-delimited UTF-8 with LF line endings, a header row,
 and optional '#'-prefixed comment lines (ignored on read). Every file
-goes through `write_csv`, whose cells are strings or Python ints and
-floats; a float is written as its repr, the shortest decimal that
-round-trips, so identical runs produce byte-identical files and reads
-reproduce binary64 values exactly. Callers format each value once: they
-pass Python scalars (from `.tolist()`), not numpy scalars. Every file is
-written atomically (temp file + rename).
+goes through `write_csv`. Each of its rows is either a ready line (a
+`str`, without the newline) or a sequence of cells; cells are strings or
+Python ints and floats, and a float is written as its repr, the shortest
+decimal that round-trips, so identical runs produce byte-identical files
+and reads reproduce binary64 values exactly. Callers format each value
+once: they pass Python scalars (from `.tolist()`), not numpy scalars, or
+lines they built from them. Lines are written `_BLOCK_ROWS` at a time,
+and every file is written atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import os
 import tempfile
 from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
 from typing import Iterable
 
@@ -51,22 +54,28 @@ def atomic_write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def write_csv(path: Path, header: list[str], rows: Iterable[Iterable]) -> None:
-    """Write a header and rows atomically, one line at a time, each
-    cell as str(cell). Cells are strings, which pass through unchanged,
-    or Python ints and floats; for a Python float str() is repr(), the
-    shortest decimal that round-trips."""
+# Lines per write, and rows per changed-cell batch of _snapshot_lines:
+# enough to amortize the per-call cost of a write or of numpy, few
+# enough to keep a block's texts small. On a 4000-row BS pipeline, peak
+# RSS rose 0.26 MB with 512-row batches and 0.16 MB with 64
+# (BENCH_12.json), at equal speed.
+_BLOCK_ROWS = 64
+
+
+def write_csv(path: Path, header: list[str], rows: Iterable[str | Iterable]) -> None:
+    """Write a header and rows atomically, `_BLOCK_ROWS` lines per
+    write. A `str` row is a ready line and passes through as is; any
+    other row is a sequence of cells, each written as str(cell). Cells
+    are strings, which pass through unchanged, or Python ints and
+    floats; for a Python float str() is repr(), the shortest decimal
+    that round-trips. `rows` is iterated once."""
+    rows = iter(rows)
     with _atomic_open(path) as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(str, row)) + "\n")
-
-
-# Rows whose changed cells write_snapshots formats in one batch: enough
-# to amortize numpy's per-call cost, few enough to keep the batch's
-# texts small. On a 4000-row BS pipeline, peak RSS rose 0.26 MB with
-# 512-row batches and 0.16 MB with 64 (BENCH_12.json), at equal speed.
-_BLOCK_ROWS = 64
+        while block := [row if isinstance(row, str) else ",".join(map(str, row))
+                        for row in islice(rows, _BLOCK_ROWS)]:
+            block.append("")
+            fh.write("\n".join(block))
 
 
 def _snapshot_lines(data: np.ndarray):
@@ -95,9 +104,8 @@ def _snapshot_lines(data: np.ndarray):
 def write_snapshots(path: Path, snapshots: SnapshotMatrix) -> None:
     """Write a record as CSV, one row per snapshot, re-formatting only
     the cells that changed since the row before (`_snapshot_lines`).
-    Each line reaches `write_csv` as a one-cell row, already joined."""
-    write_csv(path, snapshots.node_labels(),
-              ((line,) for line in _snapshot_lines(snapshots.data)))
+    Its lines reach `write_csv` as ready `str` rows."""
+    write_csv(path, snapshots.node_labels(), _snapshot_lines(snapshots.data))
 
 
 def _lines(path: Path):
@@ -133,7 +141,7 @@ def read_snapshots(path: Path, dt: float = 1.0) -> SnapshotMatrix:
 
 def write_ifo_events(path: Path, records: list[AvalancheRecord]) -> None:
     rows = [
-        (float(r.start_time), r.size, ";".join(str(i) for i in sorted(r.participants)))
+        (float(r.start_time), r.size, ";".join(map(str, sorted(r.participants))))
         for r in records
     ]
     write_csv(path, ["start_time", "size", "participants"], rows)

@@ -32,6 +32,20 @@ class TestStep:
         assert _replace_minimum(fitness, DRAWS) == 0
         assert fitness.tolist() == [0.52, 0.73, 0.8, 0.31]
 
+    def test_right_wraparound(self):
+        # neighbors of site n-1 on the ring are n-2 (left) and 0 (right)
+        fitness = np.array([0.8, 0.8, 0.8, 0.05])
+        assert _replace_minimum(fitness, DRAWS) == 3
+        assert fitness.tolist() == [0.73, 0.8, 0.31, 0.52]
+
+    def test_list_and_array_draws_agree(self):
+        rng = np.random.default_rng(8)
+        before, draws = rng.random(9), rng.random((20, 3))
+        from_list, from_array = before.copy(), before.copy()
+        for row in draws:
+            assert _replace_minimum(from_list, row.tolist()) == _replace_minimum(from_array, row)
+            assert from_list.tobytes() == from_array.tobytes()
+
     def test_tie_breaks_to_lowest_index(self):
         fitness = np.array([0.9, 0.2, 0.2, 0.9, 0.9])
         assert _replace_minimum(fitness, DRAWS) == 1
@@ -59,6 +73,24 @@ class TestStep:
         assert fitness[[(i_min - 1) % n, i_min, (i_min + 1) % n]].tolist() == draws.tolist()
 
 
+def assert_matches_stepwise_oracle(params, steps):
+    """simulate_bs against an independent pure-Python oracle on the same
+    PCG64 stream: n draws for the initial ring, then one 3-draw block
+    per step."""
+    snaps, history = simulate_bs(params, steps)
+    rng = np.random.default_rng(params.seed)
+    fitness = rng.random(params.n).tolist()
+    n = params.n
+    for k in range(steps):
+        left, centre, right = rng.random(3).tolist()
+        i_min = fitness.index(min(fitness))
+        fitness[(i_min - 1) % n] = left
+        fitness[i_min] = centre
+        fitness[(i_min + 1) % n] = right
+        assert i_min == history[k]
+        assert fitness == snaps.data[k].tolist()
+
+
 class TestSimulate:
     def test_shapes_and_dt(self):
         snaps, history = simulate_bs(BsParams(n=10, seed=0), 50)
@@ -67,21 +99,12 @@ class TestSimulate:
         assert len(history) == 50
 
     def test_matches_stepwise_evolution(self):
-        # independent pure-Python oracle on the same PCG64 stream: n
-        # draws for the initial ring, then one 3-draw block per step
-        params = BsParams(n=8, seed=21)
-        snaps, history = simulate_bs(params, 40)
-        rng = np.random.default_rng(params.seed)
-        fitness = rng.random(params.n).tolist()
-        n = params.n
-        for k in range(40):
-            left, centre, right = rng.random(3).tolist()
-            i_min = fitness.index(min(fitness))
-            fitness[(i_min - 1) % n] = left
-            fitness[i_min] = centre
-            fitness[(i_min + 1) % n] = right
-            assert i_min == history[k]
-            assert fitness == snaps.data[k].tolist()
+        assert_matches_stepwise_oracle(BsParams(n=8, seed=21), 40)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_matches_stepwise_evolution_at_benchmark_size(self, seed):
+        # bs-pipeline's ring and record length
+        assert_matches_stepwise_oracle(BsParams(n=100, seed=seed), 4000)
 
     def test_min_history_consistent_with_snapshots(self):
         snaps, history = simulate_bs(BsParams(n=20, seed=2), 200)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from koopnet import AvalancheRecord, DmdResult, KoopnetError, SnapshotMatrix
 from koopnet.analysis import dominant_modes, windowed_dmd, zero_frequency_mode
-from koopnet.cli import ENV_OUT, _mode_rows, _spectrum_rows, main
+from koopnet.cli import ENV_OUT, _mode_lines, _spectrum_rows, main
 from koopnet.dmd import _log_map
 from koopnet.io import (
     _BLOCK_ROWS,
@@ -185,6 +185,52 @@ class TestWriteCsv:
         write_csv(path, ["a", "b", "c"], [("1e16", -7, ""), ("nan", 0, "x;y")])
         assert path.read_text() == "a,b,c\n1e16,-7,\nnan,0,x;y\n"
 
+    def test_blocks_of_lines_and_cells_match_per_row_oracle(self, tmp_path):
+        # more rows than two write blocks; every third row is a ready line
+        rng = np.random.default_rng(3)
+        cells = [(f"r{k}", k, *random_doubles(rng, 2).tolist())
+                 for k in range(2 * _BLOCK_ROWS + 1)]
+        lines = [",".join(map(str, row)) for row in cells]
+        path = tmp_path / "out.csv"
+        write_csv(path, ["name", "k", "x", "y"],
+                  [line if k % 3 == 0 else row for k, (line, row) in enumerate(zip(lines, cells))])
+        assert path.read_bytes() == "".join(
+            line + "\n" for line in ["name,k,x,y", *lines]).encode("utf-8")
+
+    def test_no_rows_writes_the_header_only(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(path, ["a", "b"], [])
+        assert path.read_bytes() == b"a,b\n"
+
+    def test_generator_is_consumed_once(self, tmp_path):
+        pulled = []
+
+        def rows():
+            for k in range(_BLOCK_ROWS + 3):
+                pulled.append(k)
+                yield (k,)
+
+        path = tmp_path / "out.csv"
+        write_csv(path, ["k"], rows())
+        assert pulled == list(range(_BLOCK_ROWS + 3))
+        assert path.read_text().splitlines() == ["k", *map(str, pulled)]
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        # rows that raise after more than one write block: the existing
+        # artifact keeps its bytes and no temp file is left behind
+        path = tmp_path / "out.csv"
+        write_csv(path, ["k"], [(1,), (2,)])
+        before = path.read_bytes()
+
+        def rows():
+            yield from ((k,) for k in range(2 * _BLOCK_ROWS + 5))
+            raise RuntimeError("simulated failure")
+
+        with pytest.raises(RuntimeError, match="simulated failure"):
+            write_csv(path, ["k"], rows())
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
 
 def cell(value):
     """A numeric cell formatted one numpy scalar at a time, as the
@@ -215,31 +261,41 @@ def mode_oracle(name, labels, mode):
 
 
 class TestAnalysisCells:
-    @pytest.mark.parametrize("model_args", [
-        ["--model", "bs", "--n", "12", "--steps", "600", "--seed", "1"],
+    # `shared`: whether a window's zero-frequency mode is one of its five
+    # dominant modes, over the windows; the files format such a column once
+    @pytest.mark.parametrize("model_args, shared", [
+        # windows 0-2 list it apart, windows 3-5 among the dominant five
+        (["--model", "bs", "--n", "12", "--steps", "600", "--seed", "1"], {False, True}),
         # window 1 of this run has a zero-flagged (excluded) mode
-        ["--model", "ifo", "--rows", "6", "--cols", "6", "--steps", "600", "--seed", "3"],
+        (["--model", "ifo", "--rows", "6", "--cols", "6", "--steps", "600", "--seed", "3"],
+         {True}),
     ], ids=["bs", "ifo"])
-    def test_mode_and_spectrum_cells_match_per_element_oracle(self, tmp_path, model_args):
+    def test_mode_and_spectrum_cells_match_per_element_oracle(self, tmp_path, model_args,
+                                                              shared):
         assert main(["pipeline", *model_args, "--window", "100", "--out", str(tmp_path)]) == 0
         snaps = read_snapshots(tmp_path / "snapshots.csv",
                                dt=float(read_meta(tmp_path / "meta.csv")["dt"]))
         labels = snaps.node_labels()
         windows = windowed_dmd(snaps, window_len=100, rank=16)
         assert windows and not any(w.degenerate for w in windows)
+        seen = set()
         for w in windows:
             spectrum = (tmp_path / f"spectrum_w{w.window_index}.csv").read_text().splitlines()
             assert spectrum[1:] == spectrum_oracle(w)
             expect = []
-            for i, entry in enumerate(dominant_modes(w.result, 5), start=1):
+            dominant = dominant_modes(w.result, 5)
+            for i, entry in enumerate(dominant, start=1):
                 expect += mode_oracle(f"dominant_{i}", labels, entry.mode)
             try:
-                expect += mode_oracle("zero_frequency", labels,
-                                      zero_frequency_mode(w.result).mode)
+                zf = zero_frequency_mode(w.result)
             except KoopnetError:
                 pass
+            else:
+                expect += mode_oracle("zero_frequency", labels, zf.mode)
+                seen.add(any(np.shares_memory(e.mode, zf.mode) for e in dominant))
             modes = (tmp_path / f"modes_w{w.window_index}.csv").read_text().splitlines()
             assert modes[1:] == expect
+        assert seen == shared
 
     def test_excluded_mode_has_nan_rates(self):
         # dmd's own map gives a zero-flagged eigenvalue NaN + NaN j; the
@@ -255,6 +311,15 @@ class TestAnalysisCells:
         assert [repr(v) for v in rows[1][2:4]] == ["nan", "nan"]
         assert rows[1][6] == "excluded"
 
+    def test_repeated_mode_column_is_matched_by_bits(self):
+        # -0.0 == 0.0, so matching columns by value would write the
+        # second column with the first one's "0.0"
+        zero, negative = np.array([0j, 0.5 + 0.25j]), np.array([complex(-0.0, 0.0), 0.5 + 0.25j])
+        assert np.array_equal(zero, negative)
+        named = [("dominant_1", zero), ("dominant_2", negative), ("zero_frequency", zero)]
+        assert _mode_lines(["n0", "n1"], named) == [
+            line for name, mode in named for line in mode_oracle(name, ["n0", "n1"], mode)]
+
     def test_abs_is_the_scalar_hypot(self, tmp_path):
         # np.abs over a complex array rounds this value's last digit
         # differently from the scalar abs the files have always used
@@ -263,7 +328,7 @@ class TestAnalysisCells:
         assert repr(float(np.abs(np.array([v]))[0])) == "0.09177938484664798"
         path = tmp_path / "modes.csv"
         write_csv(path, ["mode", "node", "re_v", "im_v", "abs_v"],
-                  _mode_rows("dominant_1", ["n0"], np.array([v])))
+                  _mode_lines(["n0"], [("dominant_1", np.array([v]))]))
         assert path.read_text().splitlines()[1] == (
             "dominant_1,n0,0.09107391910860078,0.011357673222502935,0.091779384846648")
 
@@ -480,3 +545,5 @@ def test_pipeline_runs_through_the_benchmark_bindings(tmp_path, monkeypatch):
     totals = tracer.totals()
     assert totals["cli.cmd_simulate"][0] == 1
     assert totals["cli.cmd_analyze"][0] == 1
+    # every CSV artifact goes through the writer the benchmark times
+    assert totals["io.write_csv"][0] == len(list(tmp_path.glob("*.csv")))
