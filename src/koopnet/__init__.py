@@ -24,7 +24,6 @@ from .bak_sneppen import (
 from .dmd import (
     DmdResult,
     build_snapshot_pairs,
-    continuous_spectrum,
     dmd,
     dmd_of_snapshots,
     reconstruct,
@@ -40,10 +39,8 @@ from .errors import (
 from .ifo import (
     AvalancheRecord,
     IfoParams,
-    IfoState,
     energy_of_phase,
     phase_of_energy,
-    resolve_avalanche,
     simulate_ifo,
     synchronization_onset,
 )

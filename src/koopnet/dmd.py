@@ -14,7 +14,6 @@ acting on the identity observable.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,7 +178,8 @@ def dmd(x: np.ndarray, xp: np.ndarray, rank: int | None = None, dt: float = 1.0)
     mode U_r w_k instead: dividing by a lambda_k that is rounding noise
     would return a noise vector. Amplitudes solve modes @ b ~ first
     snapshot in the least-squares sense. Output is sorted by descending
-    |b_k|. Non-finite x or xp raise DomainError.
+    |b_k|. Non-finite x or xp raise DomainError, and a window with no
+    snapshot pairs raises DegenerateDataError.
     """
     x = np.asarray(x, dtype=float)
     xp = np.asarray(xp, dtype=float)
@@ -193,6 +193,8 @@ def dmd(x: np.ndarray, xp: np.ndarray, rank: int | None = None, dt: float = 1.0)
 
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(xp))):
         raise DomainError("snapshot pair matrices must be finite")
+    if x.shape[1] == 0:
+        raise DegenerateDataError("no snapshot pairs in the window")
 
     u_r, s, v_r = _basis(x, rank)
     r = u_r.shape[1]
@@ -239,24 +241,6 @@ def _log_map(lambdas: np.ndarray, zero: np.ndarray, dt: float) -> np.ndarray:
     mu = np.full(lambdas.shape, complex(np.nan, np.nan))
     mu[~zero] = np.log(lambdas[~zero]) / dt
     return mu
-
-
-def continuous_spectrum(lambdas: np.ndarray, dt: float) -> np.ndarray:
-    """Map discrete eigenvalues to continuous-time rates/frequencies,
-    mu = log(lambda)/dt on the principal branch (Im mu in (-pi/dt,
-    pi/dt]). Eigenvalues at 0 are infinitely fast decaying directions:
-    they produce NaN with a warning rather than a finite rate."""
-    lambdas = np.asarray(lambdas, dtype=complex)
-    if not 0 < dt < np.inf:
-        raise DomainError(f"dt must be finite and > 0, got {dt}")
-    zero = np.abs(lambdas) <= _zero_tolerance(lambdas)
-    if np.any(zero):
-        warnings.warn(
-            "zero eigenvalue(s) excluded from the continuous spectrum",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return _log_map(lambdas, zero, dt)
 
 
 def reconstruct(result: DmdResult, k: int) -> np.ndarray:

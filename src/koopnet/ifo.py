@@ -11,7 +11,7 @@ not advance while one is being processed.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,20 +67,6 @@ class IfoParams:
     @property
     def n_nodes(self) -> int:
         return self.rows * self.cols
-
-
-@dataclass
-class IfoState:
-    """Per-node phases (all in [0, 1) between avalanche resolutions) and
-    the current simulation time."""
-
-    theta: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        self.theta = np.asarray(self.theta, dtype=float)
-        if self.theta.ndim != 1:
-            raise ConfigError("theta must be a 1-D vector")
 
 
 @dataclass
@@ -330,47 +316,26 @@ def _settle(theta: np.ndarray, firing: np.ndarray, params: IfoParams, table: np.
     return fired
 
 
-def _check_finite(theta: np.ndarray) -> None:
-    if not np.all(np.isfinite(theta)):
-        raise DomainError("non-finite phase in state")
-
-
-def resolve_avalanche(state: IfoState, params: IfoParams) -> tuple[IfoState, AvalancheRecord | None]:
-    """Resolve any pending firings; returns the settled state (all phases
-    < 1) and the avalanche record, or None when no node was at threshold."""
-    _check_finite(state.theta)
-    theta = state.theta.copy()
-    record = _resolve_inplace(theta, params, *_kick_setup(params), state.time)
-    return IfoState(theta=theta, time=state.time), record
-
-
-def simulate_ifo(params: IfoParams, n_steps: int,
-                 initial: IfoState | None = None) -> tuple[SnapshotMatrix, list[AvalancheRecord]]:
+def simulate_ifo(params: IfoParams, n_steps: int) -> tuple[SnapshotMatrix, list[AvalancheRecord]]:
     """Run n_steps of {drift by dt, resolve avalanche}, recording the
     settled phase vector after each step.
 
-    Initial phases default to i.i.d. uniform [0, 1) draws from a PCG64
-    generator seeded with params.seed; runs are bit-reproducible for a
-    fixed parameter set.
+    Initial phases are i.i.d. uniform [0, 1) draws from a PCG64 generator
+    seeded with params.seed; runs are bit-reproducible for a fixed
+    parameter set.
     """
     if n_steps < 1:
         raise ConfigError(f"n_steps must be >= 1, got {n_steps}")
-    n = params.n_nodes
-    if initial is None:
-        rng = np.random.default_rng(params.seed)
-        theta = rng.random(n)
-        time = 0.0
-    else:
-        if initial.theta.shape != (n,):
-            raise ConfigError(
-                f"initial state has {initial.theta.shape[0]} nodes, lattice has {n}"
-            )
-        _check_finite(initial.theta)
-        theta = initial.theta.copy()
-        time = initial.time
+    return _simulate(params, np.random.default_rng(params.seed).random(params.n_nodes), n_steps)
+
+
+def _simulate(params: IfoParams, theta: np.ndarray,
+              n_steps: int) -> tuple[SnapshotMatrix, list[AvalancheRecord]]:
+    """:func:`simulate_ifo` from the phases `theta` at time 0, mutating theta."""
     kick_setup = _kick_setup(params)
-    snaps = np.empty((n_steps, n))
+    snaps = np.empty((n_steps, theta.size))
     records: list[AvalancheRecord] = []
+    time = 0.0
     for step in range(n_steps):
         theta += params.dt
         time += params.dt

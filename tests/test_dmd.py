@@ -13,12 +13,11 @@ from koopnet import (
     DomainError,
     SnapshotMatrix,
     build_snapshot_pairs,
-    continuous_spectrum,
     dmd,
     dmd_of_snapshots,
     reconstruct,
 )
-from koopnet.dmd import _basis, _kernel
+from koopnet.dmd import _basis, _kernel, _log_map
 
 
 def linear_data(m, x0, n_steps):
@@ -86,8 +85,6 @@ def test_rejects_dt_outside_zero_to_inf(dt):
         SnapshotMatrix(data=data, dt=dt)
     with pytest.raises(DomainError, match="dt must be finite and > 0"):
         dmd(data[:-1].T, data[1:].T, dt=dt)
-    with pytest.raises(DomainError, match="dt must be finite and > 0"):
-        continuous_spectrum(np.array([0.5]), dt=dt)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -98,6 +95,14 @@ def test_rejects_non_finite_snapshots(value, which):
     pair[which][2, 5] = value
     with pytest.raises(DomainError, match="must be finite"):
         dmd(pair["x"], pair["xp"])
+
+
+@pytest.mark.parametrize("shape", [(1, 0), (2, 0), (100, 0)])
+def test_rejects_window_without_snapshot_pairs(shape):
+    # with two or more rows, all of them count as constant across the
+    # empty window, and the constant-row fold has no column to read
+    with pytest.raises(DegenerateDataError, match="no snapshot pairs"):
+        dmd(np.ones(shape), np.ones(shape))
 
 
 def prescribed_window(rng, n, m, singular_values):
@@ -385,17 +390,17 @@ class TestDmdExamples:
                 assert np.linalg.norm(a @ v - lam * v) <= tol
 
     def test_continuous_eigenvalues_match_continuous_spectrum(self):
-        # same map, bit for bit, but dmd() flags zero eigenvalues silently
+        # mu = log(lambda)/dt on every unflagged eigenvalue, bit for bit,
+        # and NaN + NaN j, silently, on the zero-flagged one
         for x, xp in self.numerically_zero_eigenvalue_pairs():
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 result = dmd(x, xp, dt=0.25)
             assert np.count_nonzero(result.zero_flags) == 1
-            excluded = result.eigenvalues_continuous[result.zero_flags]
-            assert np.all(np.isnan(excluded.real)) and np.all(np.isnan(excluded.imag))
-            with pytest.warns(RuntimeWarning):
-                mu = continuous_spectrum(result.eigenvalues_discrete, dt=0.25)
-            assert result.eigenvalues_continuous.tobytes() == mu.tobytes()
+            mu, flags = result.eigenvalues_continuous, result.zero_flags
+            assert np.all(np.isnan(mu[flags].real)) and np.all(np.isnan(mu[flags].imag))
+            want = np.log(result.eigenvalues_discrete[~flags]) / 0.25
+            assert mu[~flags].tobytes() == want.tobytes()
 
     def test_degenerate_and_config_errors(self):
         with pytest.raises(DegenerateDataError):
@@ -483,20 +488,20 @@ class TestSpectrumProperties:
 
 
 class TestContinuousSpectrum:
+    """The map dmd() takes its continuous eigenvalues with."""
+
+    @staticmethod
+    def log_map(lambdas, dt):
+        return _log_map(np.asarray(lambdas, dtype=complex), np.zeros(len(lambdas), bool), dt)
+
     def test_examples(self):
-        mu = continuous_spectrum(np.array([1.0, np.exp(-0.02), 1j]), dt=1.0)
+        mu = self.log_map([1.0, np.exp(-0.02), 1j], dt=1.0)
         assert mu[0] == pytest.approx(0.0, abs=1e-14)
         assert mu[1] == pytest.approx(-0.02, abs=1e-12)
         assert mu[2] == pytest.approx(1j * np.pi / 2, abs=1e-12)
 
-    def test_zero_eigenvalue_warns_and_nans(self):
-        with pytest.warns(RuntimeWarning):
-            mu = continuous_spectrum(np.array([0.0, 0.5]), dt=1.0)
-        assert np.isnan(mu[0].real) and np.isnan(mu[0].imag)
-        assert mu[1] == pytest.approx(np.log(0.5), abs=1e-12)
-
     def test_principal_branch(self):
-        mu = continuous_spectrum(np.array([-0.5 + 0j]), dt=2.0)
+        mu = self.log_map([-0.5 + 0j], dt=2.0)
         assert -np.pi / 2 < np.imag(mu[0]) <= np.pi / 2
 
     @settings(max_examples=1000, deadline=None)
@@ -509,12 +514,8 @@ class TestContinuousSpectrum:
         mu = complex(re, im)
         if not abs(im) * dt < np.pi - 1e-6:
             return
-        back = continuous_spectrum(np.array([np.exp(mu * dt)]), dt=dt)[0]
+        back = self.log_map([np.exp(mu * dt)], dt=dt)[0]
         assert abs(back - mu) <= 1e-9 * max(1.0, abs(mu))
-
-    def test_rejects_bad_dt(self):
-        with pytest.raises(DomainError):
-            continuous_spectrum(np.array([0.5]), dt=-1.0)
 
 
 class TestReconstruct:

@@ -15,18 +15,23 @@ from koopnet import (
     ConfigError,
     DomainError,
     IfoParams,
-    IfoState,
     KoopnetError,
     energy_of_phase,
     phase_of_energy,
-    resolve_avalanche,
     simulate_ifo,
     synchronization_onset,
 )
 import koopnet.ifo as ifo
-from koopnet.ifo import _kick_orbits, _kick_setup, _neighbor_table, _resolve_inplace
+from koopnet.ifo import _kick_orbits, _kick_setup, _neighbor_table, _resolve_inplace, _simulate
 
 GAMMA = 2.0
+
+
+def resolve(theta, params):
+    """Resolve the avalanche pending in a copy of `theta` at time 0;
+    returns the settled phases and the record (None if nothing fired)."""
+    theta = np.array(theta, dtype=float)
+    return theta, _resolve_inplace(theta, params, *_kick_setup(params), 0.0)
 
 
 def rk4_energy(theta, gamma, n_sub=20000):
@@ -288,8 +293,8 @@ class TestResolveAvalanche:
         # absorbs the kick, node 2 is untouched.
         p = IfoParams(gamma=GAMMA, epsilon=0.145, rows=1, cols=3)
         theta = np.array([1.0, phase_of_energy(0.5, GAMMA), phase_of_energy(0.2, GAMMA)])
-        out, rec = resolve_avalanche(IfoState(theta=theta), p)
-        energies = energy_of_phase(out.theta, GAMMA)
+        out, rec = resolve(theta, p)
+        energies = energy_of_phase(out, GAMMA)
         assert np.allclose(energies, [0.0, 0.645, 0.2], atol=1e-12)
         assert rec.size == 1
         assert rec.participants == {0}
@@ -299,8 +304,8 @@ class TestResolveAvalanche:
         # (surplus dissipated), node 1 fires next sweep and kicks node 0.
         p = IfoParams(gamma=GAMMA, epsilon=0.145, rows=1, cols=2)
         theta = np.array([1.0, phase_of_energy(0.9, GAMMA)])
-        out, rec = resolve_avalanche(IfoState(theta=theta), p)
-        energies = energy_of_phase(out.theta, GAMMA)
+        out, rec = resolve(theta, p)
+        energies = energy_of_phase(out, GAMMA)
         assert np.allclose(energies, [0.145, 0.0], atol=1e-12)
         assert rec.size == 2
         assert rec.participants == {0, 1}
@@ -309,9 +314,9 @@ class TestResolveAvalanche:
         # node 0 fires and kicks node 1 from E ~ 0.88 to ~ 1.17; the kick
         # is clamped at the threshold instead of inverting E >= 1
         p = IfoParams(gamma=2, epsilon=0.29, rows=1, cols=2)
-        out, rec = resolve_avalanche(IfoState(theta=[1.0, 0.72]), p)
-        assert np.all(np.isfinite(out.theta))
-        assert np.all((out.theta >= 0.0) & (out.theta < 1.0))
+        out, rec = resolve([1.0, 0.72], p)
+        assert np.all(np.isfinite(out))
+        assert np.all((out >= 0.0) & (out < 1.0))
         assert rec.participants == {0, 1}
 
     def test_kick_uses_the_energy_map(self):
@@ -321,8 +326,8 @@ class TestResolveAvalanche:
         ts = [t for t in np.linspace(0.01, 0.99, 99) if energy_of_phase(t, 2) + 0.145 < 1.0]
         assert len(ts) > 60
         for t in ts:
-            out, _ = resolve_avalanche(IfoState(theta=[1.0, t]), p)
-            assert out.theta[1] == phase_of_energy(energy_of_phase(t, 2) + 0.145, 2)
+            out, _ = resolve([1.0, t], p)
+            assert out[1] == phase_of_energy(energy_of_phase(t, 2) + 0.145, 2)
 
     @pytest.mark.parametrize("gamma", [1e-12, 1e-17])
     def test_kick_in_the_linear_limit(self, gamma):
@@ -331,15 +336,15 @@ class TestResolveAvalanche:
         # 0 at 1e-17, where K = 1/(1 - exp(-gamma)) would be inf
         p = IfoParams(gamma=gamma, epsilon=0.2, rows=1, cols=2)
         for t in (0.1, 0.3, 0.55, 0.75):
-            out, _ = resolve_avalanche(IfoState(theta=[1.0, t]), p)
-            assert out.theta[1] == pytest.approx(t + 0.2, rel=1e-9)
+            out, _ = resolve([1.0, t], p)
+            assert out[1] == pytest.approx(t + 0.2, rel=1e-9)
 
     def test_no_firing_returns_none(self):
         p = IfoParams(gamma=GAMMA, epsilon=0.145, rows=1, cols=2)
         theta = np.array([0.3, 0.4])
-        out, rec = resolve_avalanche(IfoState(theta=theta), p)
+        out, rec = resolve(theta, p)
         assert rec is None
-        assert np.array_equal(out.theta, theta)
+        assert np.array_equal(out, theta)
 
     def test_all_phases_below_threshold_after(self):
         rng = np.random.default_rng(11)
@@ -347,9 +352,9 @@ class TestResolveAvalanche:
         for _ in range(50):
             theta = rng.random(9)
             theta[rng.integers(9)] = 1.0
-            out, rec = resolve_avalanche(IfoState(theta=theta), p)
+            out, rec = resolve(theta, p)
             assert rec is not None
-            assert np.all(out.theta < 1.0)
+            assert np.all(out < 1.0)
             assert rec.size == len(rec.participants) <= 9
 
 
@@ -362,10 +367,10 @@ class TestPerFiringReference:
             want, ref = reference_resolve(theta, params)
         except KoopnetError:
             with pytest.raises(KoopnetError, match="did not terminate"):
-                resolve_avalanche(IfoState(theta=theta), params)
+                resolve(theta, params)
             return
-        out, rec = resolve_avalanche(IfoState(theta=theta), params)
-        assert out.theta.tobytes() == want.tobytes()
+        out, rec = resolve(theta, params)
+        assert out.tobytes() == want.tobytes()
         assert (rec is None) == (ref is None)
         if rec is not None:
             assert (rec.size, rec.participants) == (ref.size, ref.participants)
@@ -565,8 +570,7 @@ class TestSimulate:
 
     def test_uncoupled_pair_keeps_phase_offset(self):
         p = IfoParams(gamma=GAMMA, epsilon=0.0, rows=1, cols=2)
-        initial = IfoState(theta=np.array([0.0, 0.5]))
-        snaps, _ = simulate_ifo(p, 500, initial=initial)
+        snaps, _ = _simulate(p, np.array([0.0, 0.5]), 500)
         diff = np.mod(snaps.data[:, 1] - snaps.data[:, 0], 1.0)
         assert np.max(np.abs(diff - 0.5)) <= 1e-9
 
@@ -598,14 +602,6 @@ class TestSimulate:
         assert np.all(np.isfinite(snaps.data))
         assert len(records) > 0
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_rejects_non_finite_initial_phase(self, bad):
-        # checked before simulating: a NaN would otherwise run every step
-        # and fail only on the finished record, and +inf would just fire
-        p = IfoParams(gamma=GAMMA, epsilon=0.145, rows=2, cols=2)
-        with pytest.raises(DomainError, match="non-finite phase"):
-            simulate_ifo(p, 10, initial=IfoState(theta=[0.2, bad, 0.4, 0.6]))
-
     def test_subnormal_epsilon_runs(self):
         # 1/eps overflows to inf here, and a kick leaves E all but
         # unchanged; every avalanche must still settle
@@ -613,17 +609,11 @@ class TestSimulate:
         snaps, records = simulate_ifo(p, 200)
         assert records and np.all(snaps.data < 1.0)
 
-    def test_initial_state_shape_checked(self):
-        p = IfoParams(gamma=GAMMA, epsilon=0.145, rows=2, cols=2)
-        with pytest.raises(ConfigError):
-            simulate_ifo(p, 10, initial=IfoState(theta=np.zeros(3)))
-
 
 class TestFullSyncOrbit:
     def test_all_equal_state_stays_system_spanning_and_periodic(self):
         p = IfoParams(gamma=GAMMA, epsilon=0.145, rows=3, cols=3)
-        initial = IfoState(theta=np.full(9, 0.5))
-        _, records = simulate_ifo(p, 800, initial=initial)
+        _, records = _simulate(p, np.full(9, 0.5), 800)
         assert len(records) >= 3
         assert all(r.size == 9 for r in records)
         gaps = np.diff([r.start_time for r in records])
@@ -637,9 +627,9 @@ class TestFullSyncOrbit:
     )
     def test_all_equal_state_stays_equal(self):
         p = IfoParams(gamma=GAMMA, epsilon=0.145, rows=3, cols=3)
-        out, rec = resolve_avalanche(IfoState(theta=np.full(9, 1.0)), p)
+        out, rec = resolve(np.full(9, 1.0), p)
         assert rec.size == 9
-        assert np.ptp(out.theta) == 0.0
+        assert np.ptp(out) == 0.0
 
 
 class TestSynchronizationOnset:

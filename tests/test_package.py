@@ -4,11 +4,11 @@ import koopnet
 
 EXPORTS = [
     "AvalancheRecord", "BsParams", "ConfigError", "DegenerateDataError", "DmdResult",
-    "DomainError", "IfoParams", "IfoState", "InsufficientDataError", "KoopnetError",
+    "DomainError", "IfoParams", "InsufficientDataError", "KoopnetError",
     "ModeEntry", "NotFoundError", "SnapshotMatrix", "SpatialPattern", "TransitionReport",
-    "WindowAnalysis", "ZeroFrequencyMode", "build_snapshot_pairs", "continuous_spectrum",
+    "WindowAnalysis", "ZeroFrequencyMode", "build_snapshot_pairs",
     "detect_transition", "dmd", "dmd_of_snapshots", "dominant_modes", "energy_of_phase",
-    "estimate_threshold", "phase_of_energy", "reconstruct", "resolve_avalanche",
+    "estimate_threshold", "phase_of_energy", "reconstruct",
     "simulate_bs", "simulate_ifo", "spatial_pattern", "split_timescales",
     "synchronization_onset", "windowed_dmd", "zero_frequency_mode",
 ]
