@@ -11,7 +11,7 @@ refactor changed any artifact byte:
 The first line is a ``#`` comment naming what the bits depend on besides
 the source: the numpy version, the CPU count and the BLAS thread
 variables. With ``OPENBLAS_NUM_THREADS=1`` the bits of the DMD's Gram
-product and its eigh differ from a two-thread run, and 26 of the 412
+product and its eigh differ from a two-thread run, and 26 of the 486
 files with them, so both sides of a comparison must run in the same
 environment.
 
@@ -60,6 +60,10 @@ CONFIGS = {
     # 200x199 windows: tall BS windows like bs-sliding's, most rows constant
     "bs-n200-seed1": ["--model", "bs", "--n", "200", "--steps", "1000", "--seed", "1",
                       "--stride", "50"],
+    # a record length, window and stride that are no multiples of the
+    # pipeline's row block, so windows straddle block edges at many offsets
+    "bs-n60-seed9-ragged": ["--model", "bs", "--n", "60", "--steps", "1337", "--seed", "9",
+                            "--window", "97", "--stride", "37"],
 }
 
 

@@ -14,7 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dmd import DmdResult, build_snapshot_pairs, dmd
+from .dmd import DmdResult, dmd
+from .dmd import build_snapshot_pairs  # noqa: F401  (bound by bench/spans.py)
 from .errors import ConfigError, DegenerateDataError, InsufficientDataError, NotFoundError
 from .snapshots import SnapshotMatrix
 
@@ -80,6 +81,11 @@ def _check_jump_threshold(jump_threshold: float) -> None:
         raise ConfigError(f"jump_threshold must be finite and > 1, got {jump_threshold}")
 
 
+def _check_length(n_snapshots: int, window_len: int) -> None:
+    if n_snapshots < window_len:
+        raise ConfigError(f"record length {n_snapshots} is shorter than window_len {window_len}")
+
+
 def windowed_dmd(snapshots: SnapshotMatrix, window_len: int,
                  stride: int | None = None, rank: int | None = None) -> list[WindowAnalysis]:
     """Decompose the record window by window.
@@ -90,34 +96,49 @@ def windowed_dmd(snapshots: SnapshotMatrix, window_len: int,
     window is flagged and skipped rather than aborting the batch.
     """
     _check_windows(window_len, stride)
-    stride = stride or window_len
-    t = snapshots.n_snapshots
-    if t < window_len:
-        raise ConfigError(f"record length {t} is shorter than window_len {window_len}")
+    _check_length(snapshots.n_snapshots, window_len)
+    windows: list[WindowAnalysis] = []
+    # the record is one block, so every window is a view of it
+    for _ in _stream_windows([snapshots.data], windows, snapshots.dt, window_len, stride, rank):
+        pass
+    return windows
 
-    x, xp = build_snapshot_pairs(snapshots)
-    analyses = []
-    for idx, start in enumerate(range(0, t - window_len + 1, stride)):
-        end = start + window_len
-        try:
-            # window [start, end) pairs snapshots start..end-2 with their successors
-            result = dmd(x[:, start:end - 1], xp[:, start:end - 1], rank=rank, dt=snapshots.dt)
-        except DegenerateDataError as exc:
-            analyses.append(WindowAnalysis(
-                window_index=idx, start_step=start, end_step=end,
-                result=None, dominant_amplitudes=np.array([]),
-                max_amplitude=float("nan"), slow_group=[], fast_group=[],
-                note=f"degenerate window: {exc}",
-            ))
-        else:
-            amps = result.amplitude_magnitudes()
-            slow, fast = split_timescales(result)
-            analyses.append(WindowAnalysis(
-                window_index=idx, start_step=start, end_step=end,
-                result=result, dominant_amplitudes=amps,
-                max_amplitude=float(amps[0]), slow_group=slow, fast_group=fast,
-            ))
-    return analyses
+
+def _stream_windows(blocks, windows: list[WindowAnalysis], dt: float, window_len: int,
+                    stride: int | None, rank: int | None):
+    """Pass on each row block of a record, in order, then append to
+    `windows` the windowed_dmd analysis of each window its rows complete."""
+    # A window inside one block is a view of it. Any other is copied into
+    # one C-contiguous array, with the shape and strides of a view of the
+    # whole record, so DMD gets the same bits. Only the blocks holding
+    # rows of windows still to come are kept: (first row, block) pairs.
+    stride = stride or window_len
+    held: list[tuple[int, np.ndarray]] = []
+    start = stop = 0
+    for block in blocks:
+        yield block
+        first, stop = stop, stop + block.shape[0]
+        held.append((first, block))
+        while (end := start + window_len) <= stop:
+            if start >= first:
+                rows = block[start - first:end - first]
+            else:
+                rows = np.concatenate([b[max(start - f, 0):end - f] for f, b in held])
+            result, amps, slow, fast, note = None, np.array([]), [], [], ""
+            try:
+                # the window's rows pair snapshots start..end-2 with their successors
+                result = dmd(rows[:-1].T, rows[1:].T, rank=rank, dt=dt)
+            except DegenerateDataError as exc:
+                note = f"degenerate window: {exc}"
+            else:
+                amps = result.amplitude_magnitudes()
+                slow, fast = split_timescales(result)
+            windows.append(WindowAnalysis(
+                window_index=start // stride, start_step=start, end_step=end, result=result,
+                dominant_amplitudes=amps, max_amplitude=float(amps[0]) if amps.size else np.nan,
+                slow_group=slow, fast_group=fast, note=note))
+            start += stride
+        held = [(f, b) for f, b in held if f + b.shape[0] > start]
 
 
 def dominant_modes(result: DmdResult, k: int) -> list[ModeEntry]:

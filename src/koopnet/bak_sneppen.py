@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InsufficientDataError
-from .snapshots import SnapshotMatrix
+from .snapshots import _BLOCK_ROWS, SnapshotMatrix, _check_steps
 
 
 @dataclass(frozen=True)
@@ -49,23 +49,34 @@ def _replace_minimum(fitness: np.ndarray, draws) -> int:
     return i_min
 
 
+def _blocks(params: BsParams, n_iterations: int, min_history: list[int],
+            record: np.ndarray | None = None):
+    """Yield simulate_bs's fitness rows, up to `_BLOCK_ROWS` updates per
+    block, appending the replaced minima to `min_history`. A block is a
+    new array, or the view of its rows of the T x n `record` if given."""
+    # PCG64 draws the same doubles however they are chunked, so a block's
+    # rng.random((b, 3)) gives every block size the same run
+    rng = np.random.default_rng(params.seed)
+    fitness = rng.random(params.n)
+    for start in range(0, n_iterations, _BLOCK_ROWS):
+        b = min(_BLOCK_ROWS, n_iterations - start)
+        rows = np.empty((b, params.n)) if record is None else record[start:start + b]
+        for row, draws in zip(rows, rng.random((b, 3)).tolist()):
+            min_history.append(_replace_minimum(fitness, draws))
+            row[:] = fitness
+        yield rows
+
+
 def simulate_bs(params: BsParams, n_iterations: int) -> tuple[SnapshotMatrix, list[int]]:
     """Run the model from an i.i.d. uniform initial state, recording the
     fitness vector after every update and the replaced minimum index of
     every step. Deterministic for a fixed (params, n_iterations):
     PCG64 seeded with params.seed, one 3-draw block per step."""
-    if n_iterations < 1:
-        raise ConfigError(f"n_iterations must be >= 1, got {n_iterations}")
-    rng = np.random.default_rng(params.seed)
-    fitness = rng.random(params.n)
-    draws = rng.random((n_iterations, 3))
+    _check_steps("n_iterations", n_iterations)
     snaps = np.empty((n_iterations, params.n))
     min_history: list[int] = []
-    for k in range(n_iterations):
-        # a step's draws as Python floats: a whole-array tolist() would
-        # hold every step's floats at once
-        min_history.append(_replace_minimum(fitness, draws[k].tolist()))
-        snaps[k] = fitness
+    for _ in _blocks(params, n_iterations, min_history, snaps):
+        pass
     return SnapshotMatrix(data=snaps, dt=1.0), min_history
 
 

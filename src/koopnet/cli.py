@@ -17,12 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis as ana
+from . import bak_sneppen, ifo
 from . import io as kio
-from .bak_sneppen import BsParams, simulate_bs
+from .bak_sneppen import BsParams
+from .bak_sneppen import simulate_bs  # noqa: F401  (bound by bench/spans.py)
 from .dmd import _check_rank
 from .errors import KoopnetError
-from .ifo import IfoParams, simulate_ifo
-from .snapshots import SnapshotMatrix
+from .ifo import IfoParams
+from .snapshots import SnapshotMatrix, _check_steps, default_labels
 
 ENV_OUT = "KOOPNET_OUT"
 
@@ -73,18 +75,26 @@ class RunConfig(AnalysisConfig):
     # bs
     n: int = 100
 
+    def __post_init__(self):
+        super().__post_init__()
+        _check_steps("steps", self.steps)  # before the output directory is made
 
-def cmd_simulate(config: RunConfig) -> SnapshotMatrix:
-    """Run the configured model, write events.csv, snapshots.csv and
-    meta.csv to the output directory, and return the record."""
+
+def cmd_simulate(config: RunConfig, windows: list[ana.WindowAnalysis] | None = None) -> tuple:
+    """Run the configured model, write snapshots.csv block by block as
+    it runs, then events.csv and meta.csv, to the output directory. With
+    `windows`, each written block also goes through the windowed
+    analysis, which appends the windows it completes. Returns the
+    record's (n_snapshots, n_nodes, dt) and `windows`."""
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    events: list = []
     if config.model == "ifo":
         params = IfoParams(gamma=config.gamma, epsilon=config.epsilon,
                            rows=config.rows, cols=config.cols,
                            dt=config.dt, boundary=config.boundary, seed=config.seed)
-        snapshots, records = simulate_ifo(params, config.steps)
-        kio.write_ifo_events(out / "events.csv", records)
+        n_nodes, dt, write_events = params.n_nodes, params.dt, kio.write_ifo_events
+        blocks = ifo._blocks(params, ifo._initial_phases(params), config.steps, events)
         meta = {
             "model": "ifo", "rows": params.rows, "cols": params.cols,
             "epsilon": params.epsilon, "gamma": params.gamma, "dt": params.dt,
@@ -93,17 +103,21 @@ def cmd_simulate(config: RunConfig) -> SnapshotMatrix:
         }
     elif config.model == "bs":
         params = BsParams(n=config.n, seed=config.seed)
-        snapshots, min_history = simulate_bs(params, config.steps)
-        kio.write_bs_events(out / "events.csv", min_history)
+        n_nodes, dt, write_events = params.n, 1.0, kio.write_bs_events
+        blocks = bak_sneppen._blocks(params, config.steps, events)
         meta = {
-            "model": "bs", "n": params.n, "dt": snapshots.dt,
+            "model": "bs", "n": params.n, "dt": dt,
             "steps": config.steps, "seed": params.seed,
         }
     else:
         raise KoopnetError(f"unknown model {config.model!r}")
-    kio.write_snapshots(out / "snapshots.csv", snapshots)
+    if windows is not None:
+        blocks = ana._stream_windows(blocks, windows, dt, config.window_len,
+                                     config.stride, config.rank)
+    kio.write_snapshots(out / "snapshots.csv", default_labels(n_nodes), blocks)
+    write_events(out / "events.csv", events)
     kio.write_meta(out / "meta.csv", meta)
-    return snapshots
+    return config.steps, n_nodes, dt, windows
 
 
 def _spectrum_rows(result, slow, fast):
@@ -139,15 +153,22 @@ def _mode_lines(labels: list[str], named_modes) -> list[str]:
     return lines
 
 
-def cmd_analyze(snapshots: SnapshotMatrix, config: AnalysisConfig, out: Path) -> None:
-    """Windowed DMD of a record; writes the spectrum and mode files of
-    every window, amplitudes.csv, transition.csv and report.md to `out`."""
+def cmd_analyze(snapshots: SnapshotMatrix | tuple, config: AnalysisConfig, out: Path) -> None:
+    """Windowed DMD of a record, or cmd_simulate's return for one it
+    analyzed; writes the spectrum and mode files of every window,
+    amplitudes.csv, transition.csv and report.md to `out`."""
     out.mkdir(parents=True, exist_ok=True)
-    windows = ana.windowed_dmd(snapshots, window_len=config.window_len,
-                               stride=config.stride, rank=config.rank)
+    if isinstance(snapshots, SnapshotMatrix):
+        windows = ana.windowed_dmd(snapshots, window_len=config.window_len,
+                                   stride=config.stride, rank=config.rank)
+        (n_snapshots, n_nodes), dt = snapshots.data.shape, snapshots.dt
+        labels = snapshots.node_labels()
+    else:
+        n_snapshots, n_nodes, dt, windows = snapshots
+        ana._check_length(n_snapshots, config.window_len)
+        labels = default_labels(n_nodes)
     report = ana.detect_transition(windows, jump_threshold=config.jump_threshold)
 
-    labels = snapshots.node_labels()
     warnings: list[str] = []
     amp_rows = []
     for w in windows:
@@ -180,14 +201,15 @@ def cmd_analyze(snapshots: SnapshotMatrix, config: AnalysisConfig, out: Path) ->
     kio.write_csv(out / "transition.csv", ["window", "ratio", "threshold"], transition_rows)
 
     kio.atomic_write_text(out / "report.md",
-                          _render_report(snapshots, windows, report, warnings,
+                          _render_report(f"{n_snapshots} x {n_nodes}, dt = {dt}", labels,
+                                         windows, report, warnings,
                                          config.jump_threshold))
 
 
-def _render_report(snapshots: SnapshotMatrix, windows, report, warnings, jump_threshold) -> str:
+def _render_report(shape: str, labels: list[str], windows, report, warnings,
+                   jump_threshold) -> str:
     lines = ["# Windowed spectral analysis", ""]
-    lines.append(f"- snapshots: {snapshots.n_snapshots} x {snapshots.n_nodes}, "
-                 f"dt = {snapshots.dt}")
+    lines.append(f"- snapshots: {shape}")
     lines.append(f"- windows analyzed: {len(windows)}")
     if report.transition_window is not None:
         lines.append(f"- **transition detected** at window {report.transition_window} "
@@ -212,7 +234,7 @@ def _render_report(snapshots: SnapshotMatrix, windows, report, warnings, jump_th
                                            or w.window_index <= report.transition_window)), None)
     if focus is not None:
         entry = ana.dominant_modes(focus.result, 1)[0]
-        pattern = ana.spatial_pattern(entry.mode, snapshots.node_labels())
+        pattern = ana.spatial_pattern(entry.mode, labels)
         sizable = [g for g in pattern.groups if len(g) > 1]
         lines.append("")
         lines.append(f"Dominant mode of window {focus.window_index}: "
@@ -230,9 +252,10 @@ def _render_report(snapshots: SnapshotMatrix, windows, report, warnings, jump_th
 
 
 def cmd_pipeline(config: RunConfig) -> None:
-    """Simulate, then analyze the record in memory: the artifacts are
-    the same bytes `simulate` followed by `analyze` would write."""
-    cmd_analyze(cmd_simulate(config), config, Path(config.output_dir))
+    """Simulate, analyzing each window once its rows are written, so the
+    record is never held whole: the artifacts are the same bytes
+    `simulate` followed by `analyze` would write."""
+    cmd_analyze(cmd_simulate(config, windows=[]), config, Path(config.output_dir))
 
 
 def _read_record(path: Path, dt: float | None) -> SnapshotMatrix:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError, KoopnetError
-from .snapshots import SnapshotMatrix
+from .snapshots import _BLOCK_ROWS, SnapshotMatrix, _check_steps
 
 
 @dataclass(frozen=True)
@@ -324,27 +324,43 @@ def simulate_ifo(params: IfoParams, n_steps: int) -> tuple[SnapshotMatrix, list[
     seeded with params.seed; runs are bit-reproducible for a fixed
     parameter set.
     """
-    if n_steps < 1:
-        raise ConfigError(f"n_steps must be >= 1, got {n_steps}")
-    return _simulate(params, np.random.default_rng(params.seed).random(params.n_nodes), n_steps)
+    _check_steps("n_steps", n_steps)
+    return _simulate(params, _initial_phases(params), n_steps)
+
+
+def _initial_phases(params: IfoParams) -> np.ndarray:
+    return np.random.default_rng(params.seed).random(params.n_nodes)
 
 
 def _simulate(params: IfoParams, theta: np.ndarray,
               n_steps: int) -> tuple[SnapshotMatrix, list[AvalancheRecord]]:
     """:func:`simulate_ifo` from the phases `theta` at time 0, mutating theta."""
-    kick_setup = _kick_setup(params)
     snaps = np.empty((n_steps, theta.size))
     records: list[AvalancheRecord] = []
-    time = 0.0
-    for step in range(n_steps):
-        theta += params.dt
-        time += params.dt
-        if np.max(theta) >= 1.0:
-            rec = _resolve_inplace(theta, params, *kick_setup, time)
-            if rec is not None:
-                records.append(rec)
-        snaps[step] = theta
+    for _ in _blocks(params, theta, n_steps, records, snaps):
+        pass
     return SnapshotMatrix(data=snaps, dt=params.dt), records
+
+
+def _blocks(params: IfoParams, theta: np.ndarray, n_steps: int,
+            records: list[AvalancheRecord], record: np.ndarray | None = None):
+    """Yield _simulate's phase rows, up to `_BLOCK_ROWS` steps per block,
+    appending the avalanches to `records`. A block is a new array, or the
+    view of its rows of the T x n `record` if given."""
+    kick_setup = _kick_setup(params)
+    time = 0.0
+    for start in range(0, n_steps, _BLOCK_ROWS):
+        b = min(_BLOCK_ROWS, n_steps - start)
+        rows = np.empty((b, theta.size)) if record is None else record[start:start + b]
+        for row in rows:
+            theta += params.dt
+            time += params.dt
+            if np.max(theta) >= 1.0:
+                rec = _resolve_inplace(theta, params, *kick_setup, time)
+                if rec is not None:
+                    records.append(rec)
+            row[:] = theta
+        yield rows
 
 
 def synchronization_onset(records: list[AvalancheRecord], n_nodes: int) -> float | None:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import KoopnetError
 from .ifo import AvalancheRecord
-from .snapshots import SnapshotMatrix
+from .snapshots import _BLOCK_ROWS, SnapshotMatrix
 
 
 class FileFormatError(KoopnetError, ValueError):
@@ -54,14 +54,6 @@ def atomic_write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-# Lines per write, and rows per changed-cell batch of _snapshot_lines:
-# enough to amortize the per-call cost of a write or of numpy, few
-# enough to keep a block's texts small. On a 4000-row BS pipeline, peak
-# RSS rose 0.26 MB with 512-row batches and 0.16 MB with 64
-# (BENCH_12.json), at equal speed.
-_BLOCK_ROWS = 64
-
-
 def write_csv(path: Path, header: list[str], rows: Iterable[str | Iterable]) -> None:
     """Write a header and rows atomically, `_BLOCK_ROWS` lines per
     write. A `str` row is a ready line and passes through as is; any
@@ -78,34 +70,43 @@ def write_csv(path: Path, header: list[str], rows: Iterable[str | Iterable]) -> 
             fh.write("\n".join(block))
 
 
-def _snapshot_lines(data: np.ndarray):
-    """The CSV line of every row of `data`, formatting a cell only when
-    its bits differ from the same cell of the row before (a Bak-Sneppen
-    update redraws 3 sites of the ring); the others keep their text.
-    Bits, not values, are compared: -0.0 == 0.0, but their reprs differ."""
-    bits = data.view(np.int64)
-    n_rows, n_cols = data.shape
-    cells = [""] * n_cols
-    for start in range(0, n_rows, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n_rows)
-        changed = np.ones((stop - start, n_cols), dtype=bool)
-        first = max(start, 1)
-        np.not_equal(bits[first:stop], bits[first - 1:stop - 1], out=changed[first - start:])
-        cols = np.nonzero(changed)[1].tolist()
-        texts = list(map(repr, data[start:stop][changed].tolist()))
-        begin = 0
-        for end in np.cumsum(changed.sum(axis=1)).tolist():
-            for j, text in zip(cols[begin:end], texts[begin:end]):
-                cells[j] = text
-            yield ",".join(cells)
-            begin = end
+def _snapshot_lines(blocks: Iterable[np.ndarray]):
+    """The CSV line of every row of the record whose row blocks, in
+    order, `blocks` yields. A cell is formatted only when its bits
+    differ from the same cell of the row before, across block edges too
+    (a Bak-Sneppen update redraws 3 sites of the ring); the others keep
+    their text. Bits, not values, are compared: -0.0 == 0.0, but their
+    reprs differ. A block is compared `_BLOCK_ROWS` rows at a time."""
+    cells = prev = None
+    for block in blocks:
+        for start in range(0, block.shape[0], _BLOCK_ROWS):
+            rows = block[start:start + _BLOCK_ROWS]
+            bits = rows.view(np.int64)
+            changed = np.empty(rows.shape, dtype=bool)
+            if prev is None:
+                cells = [""] * rows.shape[1]
+                changed[0] = True
+            else:
+                np.not_equal(bits[0], prev, out=changed[0])
+            np.not_equal(bits[1:], bits[:-1], out=changed[1:])
+            prev = bits[-1]
+            cols = np.nonzero(changed)[1].tolist()
+            texts = list(map(repr, rows[changed].tolist()))
+            begin = 0
+            for end in np.cumsum(changed.sum(axis=1)).tolist():
+                for j, text in zip(cols[begin:end], texts[begin:end]):
+                    cells[j] = text
+                yield ",".join(cells)
+                begin = end
 
 
-def write_snapshots(path: Path, snapshots: SnapshotMatrix) -> None:
-    """Write a record as CSV, one row per snapshot, re-formatting only
-    the cells that changed since the row before (`_snapshot_lines`).
-    Its lines reach `write_csv` as ready `str` rows."""
-    write_csv(path, snapshots.node_labels(), _snapshot_lines(snapshots.data))
+def write_snapshots(path: Path, labels: list[str], blocks: Iterable[np.ndarray]) -> None:
+    """Write a record as CSV: the node `labels`, then one row per
+    snapshot from the record's row blocks, in order (a SnapshotMatrix is
+    the one block ``[snapshots.data]``). Only the cells that changed since
+    the row before are formatted again (`_snapshot_lines`); its lines
+    reach `write_csv` as ready `str` rows."""
+    write_csv(path, labels, _snapshot_lines(blocks))
 
 
 def _lines(path: Path):
@@ -149,7 +150,7 @@ def write_ifo_events(path: Path, records: list[AvalancheRecord]) -> None:
 
 def write_bs_events(path: Path, min_history: list[int]) -> None:
     write_csv(path, ["iteration", "min_index"],
-              ((k, i) for k, i in enumerate(min_history)))
+              (f"{k},{i}" for k, i in enumerate(min_history)))
 
 
 def write_meta(path: Path, meta: dict) -> None:

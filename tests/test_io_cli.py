@@ -33,6 +33,11 @@ def random_doubles(rng, shape):
     return np.ldexp(mant, expo)
 
 
+def write_record(path, snapshots):
+    """write_snapshots of a whole record, its one block."""
+    write_snapshots(path, snapshots.node_labels(), [snapshots.data])
+
+
 SPANS_PY = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
 
@@ -53,7 +58,7 @@ class TestSnapshotsRoundTrip:
         rng = np.random.default_rng(12)
         snaps = SnapshotMatrix(data=random_doubles(rng, (40, 7)), dt=0.25)
         path = tmp_path / "snapshots.csv"
-        write_snapshots(path, snaps)
+        write_record(path, snaps)
         back = read_snapshots(path, dt=0.25)
         assert np.array_equal(back.data, snaps.data)
         assert back.dt == 0.25
@@ -62,7 +67,7 @@ class TestSnapshotsRoundTrip:
     def test_labels_preserved(self, tmp_path):
         snaps = SnapshotMatrix(data=np.ones((3, 2)), labels=["left", "right"])
         path = tmp_path / "snapshots.csv"
-        write_snapshots(path, snaps)
+        write_record(path, snaps)
         assert read_snapshots(path).node_labels() == ["left", "right"]
 
     def test_comment_lines_ignored(self, tmp_path):
@@ -88,7 +93,7 @@ class TestSnapshotsRoundTrip:
                -3.0, 1e22, 0.1, 123456789012345.6]
         data = np.array([row, row[::-1]])
         path = tmp_path / "snapshots.csv"
-        write_snapshots(path, SnapshotMatrix(data=data))
+        write_record(path, SnapshotMatrix(data=data))
         expect = ",".join(f"n{i}" for i in range(len(row))) + "\n" + "".join(
             ",".join(repr(float(v)) for v in r) + "\n" for r in data)
         assert path.read_bytes() == expect.encode("utf-8")
@@ -109,7 +114,7 @@ class TestSnapshotsRoundTrip:
     def test_changed_cells_match_repr_oracle(self, tmp_path, data):
         data = np.array(data)
         path = tmp_path / "snapshots.csv"
-        write_snapshots(path, SnapshotMatrix(data=data))
+        write_record(path, SnapshotMatrix(data=data))
         assert path.read_bytes() == repr_oracle(data)
 
     @settings(max_examples=200, deadline=None)
@@ -124,7 +129,25 @@ class TestSnapshotsRoundTrip:
         record = np.array(rows)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "snapshots.csv"
-            write_snapshots(path, SnapshotMatrix(data=record))
+            write_record(path, SnapshotMatrix(data=record))
+            assert path.read_bytes() == repr_oracle(record)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_changed_cells_across_stream_blocks_match_repr_oracle_property(self, data):
+        # the record arrives in blocks of any sizes, as a simulator yields
+        # them; a cell's bits are compared with the row before across edges
+        n = data.draw(st.integers(1, 4))
+        rows = [data.draw(st.lists(CELL_VALUES, min_size=n, max_size=n))]
+        for _ in range(data.draw(st.integers(1, 80))):
+            redraw = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            rows.append([data.draw(CELL_VALUES) if r else v for r, v in zip(redraw, rows[-1])])
+        record = np.array(rows)
+        edges = sorted(data.draw(st.sets(st.integers(1, len(rows) - 1), max_size=8)))
+        blocks = [b.copy() for b in np.split(record, edges)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "snapshots.csv"
+            write_snapshots(path, [f"n{i}" for i in range(n)], iter(blocks))
             assert path.read_bytes() == repr_oracle(record)
 
     def test_changed_cells_across_blocks_match_repr_oracle(self, tmp_path):
@@ -138,12 +161,12 @@ class TestSnapshotsRoundTrip:
         data[:, 0] = 0.0
         data[_BLOCK_ROWS:, 0] = -0.0
         path = tmp_path / "snapshots.csv"
-        write_snapshots(path, SnapshotMatrix(data=data))
+        write_record(path, SnapshotMatrix(data=data))
         assert path.read_bytes() == repr_oracle(data)
 
     def test_lf_line_endings(self, tmp_path):
         path = tmp_path / "snapshots.csv"
-        write_snapshots(path, SnapshotMatrix(data=np.ones((3, 2))))
+        write_record(path, SnapshotMatrix(data=np.ones((3, 2))))
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.decode("utf-8").splitlines()[0] == "n0,n1"
@@ -360,7 +383,7 @@ class TestCli:
         # nodes, jump threshold 100
         path = tmp_path / "snapshots.csv"
         rng = np.random.default_rng(0)
-        write_snapshots(path, SnapshotMatrix(data=rng.normal(size=(450, 20))))
+        write_record(path, SnapshotMatrix(data=rng.normal(size=(450, 20))))
         assert main(["analyze", str(path)]) == 0
         assert len((tmp_path / "amplitudes.csv").read_text().splitlines()) == 1 + 2
         assert len((tmp_path / "spectrum_w0.csv").read_text().splitlines()) == 1 + 16
@@ -379,7 +402,7 @@ class TestCli:
 
     def test_analyze_constant_input(self, tmp_path):
         path = tmp_path / "snapshots.csv"
-        write_snapshots(path, SnapshotMatrix(data=np.full((80, 4), 2.0)))
+        write_record(path, SnapshotMatrix(data=np.full((80, 4), 2.0)))
         status = main(["analyze", str(path), "--window", "40"])
         assert status == 0
         spectrum = (tmp_path / "spectrum_w0.csv").read_text().splitlines()
@@ -397,7 +420,7 @@ class TestCli:
         rng = np.random.default_rng(2)
         data = np.vstack([np.zeros((30, 3)), rng.normal(size=(30, 3))])
         path = tmp_path / "snapshots.csv"
-        write_snapshots(path, SnapshotMatrix(data=data))
+        write_record(path, SnapshotMatrix(data=data))
         status = main(["analyze", str(path), "--window", "30", "--rank", "0"])
         assert status == 0
         report = (tmp_path / "report.md").read_text()
@@ -454,6 +477,14 @@ class TestCli:
         assert "shorter than window_len" in capsys.readouterr().err
         assert sorted(read_dir_bytes(out)) == ["events.csv", "meta.csv", "snapshots.csv"]
 
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    def test_zero_steps_exits_one_before_making_the_output_dir(self, tmp_path, capsys, command):
+        out = tmp_path / "d"
+        status = main([command, "--model", "bs", "--n", "10", "--steps", "0", "--out", str(out)])
+        assert status == 1
+        assert "koopnet: error: steps must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_config_exits_one(self, tmp_path, capsys):
         status = main(["simulate", "--model", "ifo", "--steps", "10",
                        "--epsilon", "0.3", "--out", str(tmp_path)])
@@ -496,7 +527,7 @@ class TestCli:
     def test_analyze_rejects_infinite_dt(self, tmp_path, capsys):
         path = tmp_path / "snapshots.csv"
         rng = np.random.default_rng(0)
-        write_snapshots(path, SnapshotMatrix(data=rng.normal(size=(60, 3))))
+        write_record(path, SnapshotMatrix(data=rng.normal(size=(60, 3))))
         status = main(["analyze", str(path), "--window", "30", "--dt", "inf"])
         assert status == 1
         assert "koopnet: error: dt must be finite and > 0" in capsys.readouterr().err
@@ -505,7 +536,7 @@ class TestCli:
     def test_analyze_rejects_non_numeric_meta_dt(self, tmp_path, capsys):
         path = tmp_path / "snapshots.csv"
         rng = np.random.default_rng(0)
-        write_snapshots(path, SnapshotMatrix(data=rng.normal(size=(60, 3))))
+        write_record(path, SnapshotMatrix(data=rng.normal(size=(60, 3))))
         write_meta(tmp_path / "meta.csv", {"model": "bs", "dt": "abc"})
         status = main(["analyze", str(path), "--window", "30"])
         assert status == 1
