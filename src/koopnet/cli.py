@@ -24,7 +24,7 @@ from .bak_sneppen import simulate_bs  # noqa: F401  (bound by bench/spans.py)
 from .dmd import _check_rank
 from .errors import KoopnetError
 from .ifo import IfoParams
-from .snapshots import SnapshotMatrix, _check_steps, default_labels
+from .snapshots import _check_steps, default_labels
 
 ENV_OUT = "KOOPNET_OUT"
 
@@ -49,7 +49,7 @@ class AnalysisConfig:
     jump_threshold: float = ana.JUMP_THRESHOLD
 
     def __post_init__(self):
-        # windowed_dmd's, dmd's and detect_transition's checks, before any work starts
+        # the windows', dmd's and detect_transition's checks, before any work starts
         ana._check_windows(self.window_len, self.stride)
         _check_rank(self.rank)
         ana._check_jump_threshold(self.jump_threshold)
@@ -85,7 +85,7 @@ def cmd_simulate(config: RunConfig, windows: list[ana.WindowAnalysis] | None = N
     it runs, then events.csv and meta.csv, to the output directory. With
     `windows`, each written block also goes through the windowed
     analysis, which appends the windows it completes. Returns the
-    record's (n_snapshots, n_nodes, dt) and `windows`."""
+    record's (n_snapshots, labels, dt) and `windows`."""
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     events: list = []
@@ -114,10 +114,11 @@ def cmd_simulate(config: RunConfig, windows: list[ana.WindowAnalysis] | None = N
     if windows is not None:
         blocks = ana._stream_windows(blocks, windows, dt, config.window_len,
                                      config.stride, config.rank)
-    kio.write_snapshots(out / "snapshots.csv", default_labels(n_nodes), blocks)
+    labels = default_labels(n_nodes)
+    kio.write_snapshots(out / "snapshots.csv", labels, blocks)
     write_events(out / "events.csv", events)
     kio.write_meta(out / "meta.csv", meta)
-    return config.steps, n_nodes, dt, windows
+    return config.steps, labels, dt, windows
 
 
 def _spectrum_rows(result, slow, fast):
@@ -153,20 +154,13 @@ def _mode_lines(labels: list[str], named_modes) -> list[str]:
     return lines
 
 
-def cmd_analyze(snapshots: SnapshotMatrix | tuple, config: AnalysisConfig, out: Path) -> None:
-    """Windowed DMD of a record, or cmd_simulate's return for one it
-    analyzed; writes the spectrum and mode files of every window,
+def cmd_analyze(record: tuple, config: AnalysisConfig, out: Path) -> None:
+    """From a record's (n_snapshots, labels, dt, windows), as simulated or
+    read, write the spectrum and mode files of every window,
     amplitudes.csv, transition.csv and report.md to `out`."""
+    n_snapshots, labels, dt, windows = record
+    ana._check_length(n_snapshots, config.window_len)
     out.mkdir(parents=True, exist_ok=True)
-    if isinstance(snapshots, SnapshotMatrix):
-        windows = ana.windowed_dmd(snapshots, window_len=config.window_len,
-                                   stride=config.stride, rank=config.rank)
-        (n_snapshots, n_nodes), dt = snapshots.data.shape, snapshots.dt
-        labels = snapshots.node_labels()
-    else:
-        n_snapshots, n_nodes, dt, windows = snapshots
-        ana._check_length(n_snapshots, config.window_len)
-        labels = default_labels(n_nodes)
     report = ana.detect_transition(windows, jump_threshold=config.jump_threshold)
 
     warnings: list[str] = []
@@ -201,7 +195,7 @@ def cmd_analyze(snapshots: SnapshotMatrix | tuple, config: AnalysisConfig, out: 
     kio.write_csv(out / "transition.csv", ["window", "ratio", "threshold"], transition_rows)
 
     kio.atomic_write_text(out / "report.md",
-                          _render_report(f"{n_snapshots} x {n_nodes}, dt = {dt}", labels,
+                          _render_report(f"{n_snapshots} x {len(labels)}, dt = {dt}", labels,
                                          windows, report, warnings,
                                          config.jump_threshold))
 
@@ -258,9 +252,10 @@ def cmd_pipeline(config: RunConfig) -> None:
     cmd_analyze(cmd_simulate(config, windows=[]), config, Path(config.output_dir))
 
 
-def _read_record(path: Path, dt: float | None) -> SnapshotMatrix:
-    """The record in the snapshots file at `path`. Its dt is `dt`, or
-    else meta.csv's beside the file, or else 1.0."""
+def _read_record(path: Path, dt: float | None, config: AnalysisConfig) -> tuple:
+    """cmd_analyze's input for the snapshots file at `path`, whose windows
+    are analyzed as its blocks are read. Its dt is `dt`, or else
+    meta.csv's beside the file, or else 1.0."""
     if dt is None:
         meta_path = path.parent / "meta.csv"
         meta = kio.read_meta(meta_path) if meta_path.exists() else {}
@@ -268,7 +263,12 @@ def _read_record(path: Path, dt: float | None) -> SnapshotMatrix:
             dt = float(meta.get("dt", 1.0))
         except ValueError as exc:
             raise kio.FileFormatError(f"{meta_path}: dt: {exc}") from None
-    return kio.read_snapshots(path, dt=dt)
+    labels, blocks = kio.read_snapshots(path)
+    windows = []
+    blocks = ana._stream_windows(blocks, windows, dt, config.window_len,
+                                 config.stride, config.rank)
+    # pull every block: rows after the last window are checked too
+    return sum(block.shape[0] for block in blocks), labels, dt, windows
 
 
 def _defaults(cls) -> dict:
@@ -342,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
             config = _config_from_args(AnalysisConfig, args)
             path = Path(args.snapshots)
             out = Path(args.out) if args.out is not None else path.parent
-            cmd_analyze(_read_record(path, args.dt), config, out)
+            cmd_analyze(_read_record(path, args.dt, config), config, out)
         else:
             cmd_pipeline(_config_from_args(RunConfig, args))
     except (KoopnetError, OSError) as exc:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import KoopnetError
 from .ifo import AvalancheRecord
-from .snapshots import _BLOCK_ROWS, SnapshotMatrix
+from .snapshots import _BLOCK_ROWS
 
 
 class FileFormatError(KoopnetError, ValueError):
@@ -118,26 +118,36 @@ def _lines(path: Path):
                 yield lineno, line
 
 
-def read_snapshots(path: Path, dt: float = 1.0) -> SnapshotMatrix:
-    """Parse a snapshots CSV back into a matrix; `dt` is supplied by the
-    caller (it lives in meta.csv, not in the snapshot file)."""
+def read_snapshots(path: Path) -> tuple[list[str], Iterable[np.ndarray]]:
+    """The node labels of a snapshots CSV, and a generator of its rows
+    in blocks of `_BLOCK_ROWS`, parsed as they are pulled. A malformed or
+    non-finite row, or a file with no rows, raises FileFormatError."""
     lines = _lines(path)
     _, header = next(lines, (0, ""))  # an empty file has no header and no rows
     labels = header.split(",")
-    rows = []
-    for lineno, line in lines:
-        fields = line.split(",")
-        if len(fields) != len(labels):
-            raise FileFormatError(
-                f"{path}:{lineno}: expected {len(labels)} fields, got {len(fields)}"
-            )
-        try:
-            rows.append(list(map(float, fields)))
-        except ValueError as exc:
-            raise FileFormatError(f"{path}:{lineno}: {exc}") from None
-    if not rows:
-        raise FileFormatError(f"{path}: no data rows")
-    return SnapshotMatrix(data=np.array(rows), dt=dt, labels=labels)
+
+    def blocks():
+        block = None
+        while chunk := list(islice(lines, _BLOCK_ROWS)):
+            rows = []
+            for lineno, line in chunk:
+                fields = line.split(",")
+                if len(fields) != len(labels):
+                    raise FileFormatError(
+                        f"{path}:{lineno}: expected {len(labels)} fields, got {len(fields)}"
+                    )
+                try:
+                    rows.append(list(map(float, fields)))
+                except ValueError as exc:
+                    raise FileFormatError(f"{path}:{lineno}: {exc}") from None
+            block = np.array(rows)
+            finite = np.isfinite(block).all(axis=1)
+            if not finite.all():
+                raise FileFormatError(f"{path}:{chunk[finite.argmin()][0]}: non-finite value")
+            yield block
+        if block is None:
+            raise FileFormatError(f"{path}: no data rows")
+    return labels, blocks()
 
 
 def write_ifo_events(path: Path, records: list[AvalancheRecord]) -> None:

@@ -3,7 +3,7 @@ simulators and spectral analysis."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,8 +18,8 @@ _BLOCK_ROWS = 64
 
 
 def _check_steps(name: str, n_steps: int) -> None:
-    if n_steps < 1:
-        raise ConfigError(f"{name} must be >= 1, got {n_steps}")
+    if n_steps < 2:
+        raise ConfigError(f"{name} must be >= 2, got {n_steps}")
 
 
 def default_labels(n_nodes: int) -> list[str]:
@@ -30,14 +30,11 @@ def default_labels(n_nodes: int) -> list[str]:
 class SnapshotMatrix:
     """T x N record of network observable vectors sampled every `dt`.
 
-    Rows are snapshots in time order, columns are nodes. `labels` is an
-    optional list of N node identifiers (defaults to n0..n{N-1} when
-    serialized).
+    Rows are snapshots in time order, columns are nodes n0..n{N-1}.
     """
 
     data: np.ndarray
     dt: float = 1.0
-    labels: list[str] | None = field(default=None)
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
@@ -52,20 +49,10 @@ class SnapshotMatrix:
             raise ConfigError("snapshot data contains non-finite entries")
         if not 0 < self.dt < np.inf:
             raise ConfigError(f"dt must be finite and > 0, got {self.dt}")
-        if self.labels is not None and len(self.labels) != n:
-            raise ConfigError(
-                f"{len(self.labels)} labels for {n} node columns"
-            )
 
     @property
     def n_snapshots(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def n_nodes(self) -> int:
-        return self.data.shape[1]
-
     def node_labels(self) -> list[str]:
-        if self.labels is not None:
-            return list(self.labels)
-        return default_labels(self.n_nodes)
+        return default_labels(self.data.shape[1])

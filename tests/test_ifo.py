@@ -609,6 +609,13 @@ class TestSimulate:
         snaps, records = simulate_ifo(p, 200)
         assert records and np.all(snaps.data < 1.0)
 
+    @pytest.mark.parametrize("n_steps", [0, 1])
+    def test_rejects_fewer_than_two_steps(self, n_steps):
+        # one snapshot has no successor to pair with
+        params = IfoParams(gamma=2.0, epsilon=0.145, rows=2, cols=2)
+        with pytest.raises(ConfigError, match=f"n_steps must be >= 2, got {n_steps}"):
+            simulate_ifo(params, n_steps)
+
 
 class TestFullSyncOrbit:
     def test_all_equal_state_stays_system_spanning_and_periodic(self):

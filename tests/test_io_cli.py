@@ -38,6 +38,12 @@ def write_record(path, snapshots):
     write_snapshots(path, snapshots.node_labels(), [snapshots.data])
 
 
+def read_record(path, dt=1.0):
+    """read_snapshots of a whole record: its blocks joined into one matrix."""
+    _, blocks = read_snapshots(path)
+    return SnapshotMatrix(data=np.concatenate(list(blocks)), dt=dt)
+
+
 SPANS_PY = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
 
@@ -59,34 +65,42 @@ class TestSnapshotsRoundTrip:
         snaps = SnapshotMatrix(data=random_doubles(rng, (40, 7)), dt=0.25)
         path = tmp_path / "snapshots.csv"
         write_record(path, snaps)
-        back = read_snapshots(path, dt=0.25)
+        back = read_record(path, dt=0.25)
         assert np.array_equal(back.data, snaps.data)
         assert back.dt == 0.25
-        assert back.node_labels() == snaps.node_labels()
+        assert read_snapshots(path)[0] == snaps.node_labels()
 
-    def test_labels_preserved(self, tmp_path):
-        snaps = SnapshotMatrix(data=np.ones((3, 2)), labels=["left", "right"])
+    def test_header_labels_read(self, tmp_path):
         path = tmp_path / "snapshots.csv"
-        write_record(path, snaps)
-        assert read_snapshots(path).node_labels() == ["left", "right"]
+        path.write_text("left,right\n1.0,2.0\n3.0,4.0\n")
+        assert read_snapshots(path)[0] == ["left", "right"]
+
+    def test_rows_arrive_in_blocks(self, tmp_path):
+        # the rows are parsed _BLOCK_ROWS at a time, the last block short
+        data = np.arange(2.0 * (2 * _BLOCK_ROWS + 5)).reshape(-1, 2)
+        path = tmp_path / "snapshots.csv"
+        write_record(path, SnapshotMatrix(data=data))
+        blocks = list(read_snapshots(path)[1])
+        assert [b.shape for b in blocks] == [(_BLOCK_ROWS, 2)] * 2 + [(5, 2)]
+        assert np.array_equal(np.concatenate(blocks), data)
 
     def test_comment_lines_ignored(self, tmp_path):
         path = tmp_path / "snapshots.csv"
         path.write_text("# produced by hand\nn0,n1\n1.0,2.0\n# mid comment\n3.0,4.0\n")
-        back = read_snapshots(path)
+        back = read_record(path)
         assert np.array_equal(back.data, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_parse_errors_carry_line_numbers(self, tmp_path):
         path = tmp_path / "snapshots.csv"
         path.write_text("n0,n1\n1.0,2.0\n3.0\n")
         with pytest.raises(FileFormatError, match=":3:"):
-            read_snapshots(path)
+            read_record(path)
         path.write_text("n0\n1.0\npotato\n")
         with pytest.raises(FileFormatError, match=":3:"):
-            read_snapshots(path)
+            read_record(path)
         path.write_text("")
         with pytest.raises(FileFormatError, match="no data"):
-            read_snapshots(path)
+            read_record(path)
 
     def test_edge_values_match_repr_oracle(self, tmp_path):
         row = [5e-324, 2.2250738585072014e-308 / 3, -0.0, 0.0, 1e16, 1e-5, 1.0,
@@ -97,7 +111,7 @@ class TestSnapshotsRoundTrip:
         expect = ",".join(f"n{i}" for i in range(len(row))) + "\n" + "".join(
             ",".join(repr(float(v)) for v in r) + "\n" for r in data)
         assert path.read_bytes() == expect.encode("utf-8")
-        back = read_snapshots(path).data
+        back = read_record(path).data
         assert np.array_equal(back, data)
         assert np.signbit(back[0, 2])
 
@@ -296,8 +310,8 @@ class TestAnalysisCells:
     def test_mode_and_spectrum_cells_match_per_element_oracle(self, tmp_path, model_args,
                                                               shared):
         assert main(["pipeline", *model_args, "--window", "100", "--out", str(tmp_path)]) == 0
-        snaps = read_snapshots(tmp_path / "snapshots.csv",
-                               dt=float(read_meta(tmp_path / "meta.csv")["dt"]))
+        snaps = read_record(tmp_path / "snapshots.csv",
+                            dt=float(read_meta(tmp_path / "meta.csv")["dt"]))
         labels = snaps.node_labels()
         windows = windowed_dmd(snaps, window_len=100, rank=16)
         assert windows and not any(w.degenerate for w in windows)
@@ -366,7 +380,7 @@ class TestCli:
         status = main(["simulate", "--model", "ifo", "--steps", "60", "--seed", "1",
                        "--rows", "3", "--cols", "3", "--out", str(out)])
         assert status == 0
-        snaps = read_snapshots(out / "snapshots.csv", dt=0.01)
+        snaps = read_record(out / "snapshots.csv", dt=0.01)
         assert snaps.data.shape == (60, 9)
         meta = read_meta(out / "meta.csv")
         assert meta["model"] == "ifo" and meta["seed"] == "1"
@@ -394,7 +408,7 @@ class TestCli:
         status = main(["simulate", "--model", "bs", "--steps", "50", "--n", "12",
                        "--out", str(out)])
         assert status == 0
-        snaps = read_snapshots(out / "snapshots.csv")
+        snaps = read_record(out / "snapshots.csv")
         assert snaps.data.shape == (50, 12)
         lines = (out / "events.csv").read_text().splitlines()
         assert lines[0] == "iteration,min_index"
@@ -427,6 +441,53 @@ class TestCli:
         assert "Warnings" in report
         assert "degenerate" in report
 
+    def test_analyze_writes_header_labels_in_mode_files(self, tmp_path):
+        # the labels reach the node column of modes_w*.csv and nothing
+        # else: the report's groups are node index ranges
+        rng = np.random.default_rng(4)
+        data = rng.normal(size=(120, 4)).cumsum(axis=0)
+        labels = ["left", "mid", "right", "far"]
+        named, plain = tmp_path / "named", tmp_path / "plain"
+        for out, header in [(named, labels), (plain, ["n0", "n1", "n2", "n3"])]:
+            out.mkdir()
+            write_snapshots(out / "snapshots.csv", header, [data])
+            assert main(["analyze", str(out / "snapshots.csv"), "--window", "60"]) == 0
+        named_files, plain_files = read_dir_bytes(named), read_dir_bytes(plain)
+        assert sorted(named_files) == sorted(plain_files)
+        assert "modes_w1.csv" in named_files and b",far," in named_files["modes_w1.csv"]
+        for name, raw in plain_files.items():
+            if name.startswith("modes_w"):
+                for i, label in enumerate(labels):
+                    raw = raw.replace(f",n{i},".encode(), f",{label},".encode())
+            if name != "snapshots.csv":
+                assert named_files[name] == raw, name
+
+    @pytest.mark.parametrize("cell, message", [
+        ("nan", "non-finite value"), ("inf", "non-finite value"), ("-inf", "non-finite value"),
+        ("potato", "could not convert"), ("1.0,2.0", "expected 2 fields, got 3"),
+    ])
+    def test_analyze_rejects_bad_row_after_the_last_window(self, tmp_path, capsys,
+                                                           cell, message):
+        # 150 rows give windows 0-60 and 60-120; the bad row, 130, lies in
+        # the third read block and in no window, and is still read
+        rng = np.random.default_rng(6)
+        lines = ["n0,n1", *(f"{a!r},{b!r}" for a, b in rng.normal(size=(150, 2)).tolist())]
+        lines[1 + 130] = f"{cell},0.5"
+        path = tmp_path / "snapshots.csv"
+        path.write_text("\n".join(lines) + "\n")
+        status = main(["analyze", str(path), "--window", "60"])
+        assert status == 1
+        assert f"koopnet: error: {path}:132: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "report.md").exists()
+
+    def test_analyze_rejects_header_only_file(self, tmp_path, capsys):
+        path = tmp_path / "snapshots.csv"
+        path.write_text("n0,n1\n")
+        status = main(["analyze", str(path), "--window", "60"])
+        assert status == 1
+        assert f"koopnet: error: {path}: no data rows" in capsys.readouterr().err
+        assert not (tmp_path / "report.md").exists()
+
     def test_analyze_reads_dt_from_meta(self, tmp_path):
         main(["simulate", "--model", "ifo", "--steps", "80", "--rows", "2",
               "--cols", "2", "--epsilon", "0.2", "--out", str(tmp_path)])
@@ -456,17 +517,23 @@ class TestCli:
         assert main(args + ["--out", str(b)]) == 0
         assert read_dir_bytes(a) == read_dir_bytes(b)
 
-    @pytest.mark.parametrize("model_args", [
-        ["--model", "bs", "--n", "15", "--steps", "300", "--seed", "2"],
-        ["--model", "ifo", "--rows", "3", "--cols", "4", "--steps", "300", "--seed", "4"],
+    @pytest.mark.parametrize("model_args, analysis_args, n_windows", [
+        pytest.param(["--model", "bs", "--n", "15", "--steps", "300", "--seed", "2"],
+                     ["--window", "100", "--rank", "8"], 3, id="model_args0"),
+        pytest.param(["--model", "ifo", "--rows", "3", "--cols", "4", "--steps", "300",
+                      "--seed", "4"], ["--window", "100", "--rank", "8"], 3, id="model_args1"),
+        # the digest's ragged run: analyze's 64-row read blocks straddle
+        # its windows and strides at many offsets
+        pytest.param(["--model", "bs", "--n", "60", "--steps", "1337", "--seed", "9"],
+                     ["--window", "97", "--stride", "37"], 34, id="bs-ragged"),
     ])
-    def test_pipeline_matches_simulate_then_analyze(self, tmp_path, model_args):
-        analysis_args = ["--window", "100", "--rank", "8"]
+    def test_pipeline_matches_simulate_then_analyze(self, tmp_path, model_args, analysis_args,
+                                                    n_windows):
         piped, staged = tmp_path / "piped", tmp_path / "staged"
         assert main(["pipeline", *model_args, *analysis_args, "--out", str(piped)]) == 0
         assert main(["simulate", *model_args, "--out", str(staged)]) == 0
         assert main(["analyze", str(staged / "snapshots.csv"), *analysis_args]) == 0
-        assert len(read_dir_bytes(piped)) == 3 + 2 * 3 + 3
+        assert len(read_dir_bytes(piped)) == 3 + 2 * n_windows + 3
         assert read_dir_bytes(piped) == read_dir_bytes(staged)
 
     def test_pipeline_keeps_simulation_artifacts_when_analysis_fails(self, tmp_path, capsys):
@@ -477,12 +544,16 @@ class TestCli:
         assert "shorter than window_len" in capsys.readouterr().err
         assert sorted(read_dir_bytes(out)) == ["events.csv", "meta.csv", "snapshots.csv"]
 
-    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
-    def test_zero_steps_exits_one_before_making_the_output_dir(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command, steps", [
+        ("simulate", "0"), ("pipeline", "0"), ("simulate", "1"), ("pipeline", "1"),
+    ], ids=["simulate", "pipeline", "simulate-1", "pipeline-1"])
+    def test_zero_steps_exits_one_before_making_the_output_dir(self, tmp_path, capsys, command,
+                                                               steps):
+        # a record of one snapshot has no pair for DMD to fit
         out = tmp_path / "d"
-        status = main([command, "--model", "bs", "--n", "10", "--steps", "0", "--out", str(out)])
+        status = main([command, "--model", "bs", "--n", "10", "--steps", steps, "--out", str(out)])
         assert status == 1
-        assert "koopnet: error: steps must be >= 1, got 0" in capsys.readouterr().err
+        assert f"koopnet: error: steps must be >= 2, got {steps}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_invalid_config_exits_one(self, tmp_path, capsys):
@@ -556,15 +627,20 @@ class TestCli:
         assert (tmp_path / "envout" / "snapshots.csv").exists()
 
 
-def test_pipeline_runs_through_the_benchmark_bindings(tmp_path, monkeypatch):
-    # the benchmark's tracer times `simulate` and `analyze` by wrapping
-    # cli.cmd_simulate and cli.cmd_analyze, and raises on a binding that
-    # no longer exists; the pipeline must call both through them
+def bench_tracer(monkeypatch):
+    """The benchmark's span tracer, loaded from bench/spans.py."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS_PY)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    tracer = spans.Tracer()
+    return spans.Tracer()
+
+
+def test_pipeline_runs_through_the_benchmark_bindings(tmp_path, monkeypatch):
+    # the benchmark's tracer times `simulate` and `analyze` by wrapping
+    # cli.cmd_simulate and cli.cmd_analyze, and raises on a binding that
+    # no longer exists; the pipeline must call both through them
+    tracer = bench_tracer(monkeypatch)
     try:
         # a missing binding raises here, after patching the ones before it
         tracer.install()
@@ -578,3 +654,24 @@ def test_pipeline_runs_through_the_benchmark_bindings(tmp_path, monkeypatch):
     assert totals["cli.cmd_analyze"][0] == 1
     # every CSV artifact goes through the writer the benchmark times
     assert totals["io.write_csv"][0] == len(list(tmp_path.glob("*.csv")))
+
+
+def test_analyze_runs_through_the_benchmark_bindings(tmp_path, monkeypatch):
+    # the tracer hooks io.read_snapshots and io.read_meta and counts the
+    # size of the file named by their first argument as bytes read; the
+    # span of read_snapshots covers the header read, and the rows are
+    # parsed as cli pulls the blocks
+    assert main(["simulate", "--model", "bs", "--n", "10", "--steps", "300",
+                 "--out", str(tmp_path)]) == 0
+    tracer = bench_tracer(monkeypatch)
+    try:
+        tracer.install()
+        status = main(["analyze", str(tmp_path / "snapshots.csv"), "--window", "100"])
+    finally:
+        tracer.uninstall()
+    assert status == 0
+    totals = tracer.totals()
+    assert totals["io.read_snapshots"][0] == 1
+    assert totals["cli.cmd_analyze"][0] == 1
+    assert tracer.counts["bytes_read"] == sum(
+        (tmp_path / name).stat().st_size for name in ["snapshots.csv", "meta.csv"])

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from koopnet import BsParams, ConfigError, IfoParams, SnapshotMatrix, simulate_bs, simulate_ifo
 from koopnet import bak_sneppen, ifo
 from koopnet.analysis import _stream_windows, windowed_dmd
-from koopnet.cli import RunConfig, cmd_pipeline
+from koopnet.cli import RunConfig, cmd_pipeline, cmd_simulate, main
 
 
 def bs_record(n, steps, seed):
@@ -158,4 +158,21 @@ def test_pipeline_memory_does_not_grow_with_the_record(tmp_path):
     # 6000 more rows of 100 nodes are 4.8 MB; a pipeline that held the
     # record would grow by at least that
     grow = pipeline_peak(tmp_path / "long", 8000) - pipeline_peak(tmp_path / "short", 2000)
+    assert grow < 0.5 * 6000 * 100 * 8
+
+
+def analyze_peak(out: Path, steps: int) -> int:
+    cmd_simulate(RunConfig(model="bs", n=100, steps=steps, seed=1, output_dir=out))
+    tracemalloc.start()
+    try:
+        assert main(["analyze", str(out / "snapshots.csv")]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_analyze_memory_does_not_grow_with_the_record(tmp_path):
+    # analyze reads snapshots.csv in blocks and windows them as they
+    # come, so it holds no more of the record than the pipeline does
+    grow = analyze_peak(tmp_path / "long", 8000) - analyze_peak(tmp_path / "short", 2000)
     assert grow < 0.5 * 6000 * 100 * 8
