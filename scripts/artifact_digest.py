@@ -11,7 +11,7 @@ refactor changed any artifact byte:
 The first line is a ``#`` comment naming what the bits depend on besides
 the source: the numpy version, the CPU count and the BLAS thread
 variables. With ``OPENBLAS_NUM_THREADS=1`` the bits of the DMD's Gram
-product and its eigh differ from a two-thread run, and 26 of the 486
+product and its eigh differ from a two-thread run, and 26 of the 522
 files with them, so both sides of a comparison must run in the same
 environment.
 
@@ -55,6 +55,10 @@ CONFIGS = {
     # wrap-around avalanches that take many sweeps, up to all 576 nodes
     "ifo-24x24-periodic-seed5": ["--model", "ifo", "--rows", "24", "--cols", "24",
                                  "--boundary", "periodic", "--steps", "1500", "--seed", "5"],
+    # a kick map far from the default gamma 2, epsilon 0.145
+    "ifo-8x8-g9-e024-seed4": ["--model", "ifo", "--rows", "8", "--cols", "8",
+                              "--gamma", "9", "--epsilon", "0.24", "--steps", "3000",
+                              "--seed", "4"],
     "bs-n40-seed5": ["--model", "bs", "--n", "40", "--steps", "1500", "--seed", "5",
                      "--window", "150", "--stride", "50", "--rank", "0"],
     # 200x199 windows: tall BS windows like bs-sliding's, most rows constant

@@ -17,7 +17,7 @@ import numpy as np
 from .dmd import DmdResult, dmd
 from .dmd import build_snapshot_pairs  # noqa: F401  (bound by bench/spans.py)
 from .errors import ConfigError, DegenerateDataError, InsufficientDataError, NotFoundError
-from .snapshots import SnapshotMatrix
+from .snapshots import SnapshotMatrix, default_labels
 
 
 @dataclass
@@ -260,7 +260,7 @@ def spatial_pattern(mode: np.ndarray, labels: list[str] | None = None) -> Spatia
     # arithmetic cost a fraction of what they do on numpy scalars
     mags = np.abs(mode).astype(float, copy=False).tolist()
     if labels is None:
-        labels = [f"n{i}" for i in range(len(mags))]
+        labels = default_labels(len(mags))
     elif len(labels) != len(mags):
         raise ConfigError(f"{len(labels)} labels for {len(mags)} components")
 

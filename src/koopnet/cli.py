@@ -21,7 +21,7 @@ from . import bak_sneppen, ifo
 from . import io as kio
 from .bak_sneppen import BsParams
 from .bak_sneppen import simulate_bs  # noqa: F401  (bound by bench/spans.py)
-from .dmd import _check_rank
+from .dmd import _check_dt, _check_rank
 from .errors import KoopnetError
 from .ifo import IfoParams
 from .snapshots import _check_steps, default_labels
@@ -195,13 +195,11 @@ def cmd_analyze(record: tuple, config: AnalysisConfig, out: Path) -> None:
     kio.write_csv(out / "transition.csv", ["window", "ratio", "threshold"], transition_rows)
 
     kio.atomic_write_text(out / "report.md",
-                          _render_report(f"{n_snapshots} x {len(labels)}, dt = {dt}", labels,
-                                         windows, report, warnings,
-                                         config.jump_threshold))
+                          _render_report(f"{n_snapshots} x {len(labels)}, dt = {dt}",
+                                         windows, report, warnings, config.jump_threshold))
 
 
-def _render_report(shape: str, labels: list[str], windows, report, warnings,
-                   jump_threshold) -> str:
+def _render_report(shape: str, windows, report, warnings, jump_threshold) -> str:
     lines = ["# Windowed spectral analysis", ""]
     lines.append(f"- snapshots: {shape}")
     lines.append(f"- windows analyzed: {len(windows)}")
@@ -228,7 +226,7 @@ def _render_report(shape: str, labels: list[str], windows, report, warnings,
                                            or w.window_index <= report.transition_window)), None)
     if focus is not None:
         entry = ana.dominant_modes(focus.result, 1)[0]
-        pattern = ana.spatial_pattern(entry.mode, labels)
+        pattern = ana.spatial_pattern(entry.mode)
         sizable = [g for g in pattern.groups if len(g) > 1]
         lines.append("")
         lines.append(f"Dominant mode of window {focus.window_index}: "
@@ -263,6 +261,7 @@ def _read_record(path: Path, dt: float | None, config: AnalysisConfig) -> tuple:
             dt = float(meta.get("dt", 1.0))
         except ValueError as exc:
             raise kio.FileFormatError(f"{meta_path}: dt: {exc}") from None
+    _check_dt(dt)
     labels, blocks = kio.read_snapshots(path)
     windows = []
     blocks = ana._stream_windows(blocks, windows, dt, config.window_len,

@@ -81,6 +81,11 @@ def _check_rank(rank: int | None) -> None:
         raise ConfigError(f"requested rank must be >= 1, got {rank}")
 
 
+def _check_dt(dt: float) -> None:
+    if not 0 < dt < np.inf:
+        raise DomainError(f"dt must be finite and > 0, got {dt}")
+
+
 # The Gram matrix's eigenvalues give sigma_r^2 to a relative error of
 # about eps * (sigma_1 / sigma_r)^2, 2e-10 at this ratio; below it the SVD
 # gives the basis. At 1e-4 a 64x64 IFO window with sigma_16/sigma_1 =
@@ -188,8 +193,7 @@ def dmd(x: np.ndarray, xp: np.ndarray, rank: int | None = None, dt: float = 1.0)
     if x.ndim != 2:
         raise ConfigError("snapshot pair matrices must be 2-D")
     _check_rank(rank)
-    if not 0 < dt < np.inf:
-        raise DomainError(f"dt must be finite and > 0, got {dt}")
+    _check_dt(dt)
 
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(xp))):
         raise DomainError("snapshot pair matrices must be finite")

@@ -10,7 +10,6 @@ not advance while one is being processed.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,41 +110,6 @@ def _kick_orbits(theta: np.ndarray, degree: int, gamma: float, eps: float) -> np
     return orbit
 
 
-@functools.lru_cache(maxsize=256)
-def _kick_thresholds(degree: int, gamma: float, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only bins [tau_degree, ..., tau_1, 1.0] and zero orbit f^k(0),
-    k = 0..degree, of :func:`_kick_orbits`.
-
-    tau_k is the least double whose k-kick orbit reaches 1 under
-    _kick_orbits itself. It is searched for on the bit patterns of [0, 1]
-    (nonnegative doubles order as their bits): each step evaluates 63
-    patterns spread over every k's bracket in one orbit call and keeps
-    the gap before the first that reaches 1, so 62 bits take 11 steps. A
-    phase theta then needs ``bins.size - np.digitize(theta, bins)`` kicks
-    to reach the threshold: 0 from 1 up, degree + 1 (never) below
-    tau_degree. That count is exact wherever the rounded kick map is
-    monotone; :func:`_resolve_inplace` checks it on every node it relies
-    on.
-    """
-    row = np.arange(degree)  # row k - 1 searches for tau_k
-    lo = np.full(degree, -1, dtype=np.int64)  # below 0.0: never reaches 1
-    hi = np.full(degree, np.float64(1.0).view(np.int64))  # 1.0: at the threshold
-    while np.any(hi - lo > 1):
-        step = np.maximum((hi - lo) // 64, 1)
-        grid = np.minimum(lo[:, None] + step[:, None] * np.arange(65), hi[:, None])
-        grid[:, -1] = hi
-        orbit = _kick_orbits(grid[:, 1:-1].ravel().view(np.float64), degree, gamma, eps)
-        reach = orbit.reshape(degree + 1, degree, 63)[row + 1, row] >= 1.0
-        first = np.append(reach, np.ones((degree, 1), dtype=bool), axis=1).argmax(axis=1)
-        lo, hi = grid[row, first], grid[row, first + 1]
-    # k kicks reaching 1 implies k + 1 do, so tau_k >= tau_(k+1); the
-    # minimum keeps the bins sorted should rounding break that
-    bins = np.append(np.minimum.accumulate(hi.view(np.float64))[::-1], 1.0)
-    zero = _kick_orbits(np.zeros(1), degree, gamma, eps)[:, 0]
-    bins.flags.writeable = zero.flags.writeable = False
-    return bins, zero
-
-
 def _neighbor_table(rows: int, cols: int, boundary: str) -> np.ndarray:
     """(n, max-degree) neighbor table of a rows x cols lattice, row-major
     node indexing, each row sorted and padded with the sentinel n.
@@ -209,14 +173,21 @@ def phase_of_energy(e, gamma):
 
 def _kick_setup(params: IfoParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What every avalanche of a run shares: the neighbor table (see
-    :func:`_neighbor_table`), and the threshold bins and zero orbit of
-    :func:`_kick_thresholds` at its degree. Uncoupled (eps = 0) nodes
-    send no kicks, so their table has no columns; E^-1(E(theta)) need
-    not round-trip."""
+    :func:`_neighbor_table`; no columns when eps = 0, as uncoupled nodes
+    send no kicks and E^-1(E(theta)) need not round-trip), the threshold
+    bins [tau_degree, ..., tau_1, 1.0] and the zero orbit f^k(0) of
+    :func:`_kick_orbits`. k kicks take theta to the threshold when
+    E(theta) + k eps >= 1, so tau_k = E^-1(1 - k eps), clipped at 1 and
+    sorted should rounding break either; :func:`_settle` checks the
+    counts they give, which rounding can put one off near a tau."""
     table = _neighbor_table(params.rows, params.cols, params.boundary)
     if params.epsilon == 0.0:
         table = table[:, :0]
-    return (table, *_kick_thresholds(table.shape[1], params.gamma, params.epsilon))
+    degree, gamma, eps = table.shape[1], params.gamma, params.epsilon
+    with np.errstate(divide="ignore"):  # E^-1(1) = inf once expm1(-gamma) rounds to -1
+        taus = _phase(1.0 - eps * np.arange(degree, 0, -1), gamma, np.expm1(-gamma))
+    bins = np.append(np.sort(np.minimum(taus, 1.0)), 1.0)
+    return table, bins, _kick_orbits(np.zeros(1), degree, gamma, eps)[:, 0]
 
 
 def _cascade(firing: np.ndarray, need: np.ndarray,
@@ -255,7 +226,7 @@ def _resolve_inplace(theta: np.ndarray, params: IfoParams, table: np.ndarray,
     f^k(theta_0), or f^k(0) once it has fired, in whatever sweeps the
     kicks arrive, and the kicks that take theta_0 to the threshold are
     its count against the run's thresholds `bins` (see
-    :func:`_kick_thresholds`; `zero` is the zero orbit).
+    :func:`_kick_setup`; `zero` is the zero orbit).
 
     The sweeps (:func:`_cascade`) only count kicks, each node's over the
     whole avalanche. A fired node's phase is the zero orbit at the kicks
@@ -264,14 +235,15 @@ def _resolve_inplace(theta: np.ndarray, params: IfoParams, table: np.ndarray,
     from a lower index in its own sweep finds it still at threshold and
     the clamp undoes it. One orbit (:func:`_kick_orbits`) over the
     touched nodes, those kicked or fired, gives the unfired ones their
-    final phase and checks every touched node's threshold count; should
-    rounding have misjudged one, the counts are taken from the orbit of
-    the whole lattice and the cascade runs again. An untouched node keeps
-    theta_0. A phase that starts above 1 fires in the first sweep and its
-    orbit is never read, so min(theta, 1) is not needed. Every kick goes
-    through numpy's ufuncs (the private energy/phase helpers), never
-    ``math``: libm's expm1 and log1p round differently from numpy's
-    vectorized ones on some inputs.
+    final phase and checks every touched node's count: the thresholds
+    hold in exact arithmetic, so should rounding have misjudged a count,
+    the counts are taken from the orbit of the whole lattice and the
+    cascade runs again. An untouched node keeps theta_0. A phase that
+    starts above 1 fires in the first sweep and its orbit is never read,
+    so min(theta, 1) is not needed. Every kick goes through numpy's
+    ufuncs (the private energy/phase helpers), never ``math``: libm's
+    expm1 and log1p round differently from numpy's vectorized ones on
+    some inputs.
     """
     firing = np.flatnonzero(theta >= 1.0)
     if firing.size == 0:
@@ -290,7 +262,9 @@ def _resolve_inplace(theta: np.ndarray, params: IfoParams, table: np.ndarray,
 def _settle(theta: np.ndarray, firing: np.ndarray, params: IfoParams, table: np.ndarray,
             bins: np.ndarray, zero: np.ndarray) -> np.ndarray:
     """The avalanche `firing` starts, resolved as :func:`_resolve_inplace`
-    describes, mutating theta; returns the fired nodes in firing order."""
+    describes, mutating theta; returns the fired nodes in firing order.
+    A node needs ``bins.size - np.digitize(theta, bins)`` kicks: 0 from 1
+    up, degree + 1 (never) below tau_degree."""
     n, degree = theta.size, table.shape[1]
     # column n is the table's sentinel: the kicks it is sent are discarded
     need = np.empty(n + 1, dtype=np.intp)

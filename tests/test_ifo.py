@@ -485,26 +485,21 @@ class TestKickThresholds:
 
     @settings(max_examples=150, deadline=None)
     @given(params=kick_maps(), seed=st.integers(0, 2**32 - 1))
-    def test_thresholds_are_the_least_phases_that_reach_1_property(self, params, seed):
+    def test_thresholds_are_sorted_bins_that_predict_orbit_counts_property(self, params, seed):
         table, bins, zero = _kick_setup(params)
         degree, gamma, eps = table.shape[1], params.gamma, params.epsilon
         assert bins.size == degree + 1 and bins[-1] == 1.0
-
-        def orbit(theta):
-            return _kick_orbits(np.asarray(theta, dtype=float), degree, gamma, eps)
-
-        for k in range(1, degree + 1):
-            tau = bins[degree - k]
-            assert orbit([tau])[k, 0] >= 1.0
-            assert tau == 0.0 or orbit([np.nextafter(tau, 0.0)])[k, 0] < 1.0
-        assert zero.tobytes() == orbit([0.0])[:, 0].tobytes()
-        # the count digitize predicts is the orbit's exact one, for
-        # uniform phases and for phases within 3 ulps of each threshold
-        near = (bins.view(np.int64)[:, None] + np.arange(-3, 4)).ravel()
-        theta = np.concatenate([np.random.default_rng(seed).random(200),
-                                near[near >= 0].view(np.float64)])
-        exact = np.count_nonzero(orbit(theta) < 1.0, axis=0)
-        assert np.array_equal(bins.size - np.digitize(theta, bins), exact)
+        assert bins[0] >= 0.0 and np.all(np.diff(bins) >= 0.0)
+        assert zero.tobytes() == _kick_orbits(np.zeros(1), degree, gamma, eps)[:, 0].tobytes()
+        # digitize's count is the orbit's exact one for uniform phases,
+        # bar those whose energy is within rounding of some 1 - k eps: a
+        # band only wide where eps is tiny and E rounds to 1 below theta = 1
+        # (gamma >~ 30), whose counts the kernel's checking orbit fixes
+        theta = np.random.default_rng(seed).random(200)
+        exact = np.count_nonzero(_kick_orbits(theta, degree, gamma, eps) < 1.0, axis=0)
+        gap = energy_of_phase(theta, gamma)[:, None] - (1.0 - eps * np.arange(1, degree + 1))
+        clear = np.all(np.abs(gap) > 2**-49, axis=1)
+        assert np.array_equal((bins.size - np.digitize(theta, bins))[clear], exact[clear])
 
     @pytest.mark.parametrize("gamma, eps", [(GAMMA, 0.145), (9.0, 0.24), (1e-17, 0.2)])
     def test_orbit_of_a_subset_matches_the_whole_lattice(self, gamma, eps):
@@ -536,24 +531,57 @@ class TestKickThresholds:
         # avalanche touches; the checking orbit finds it, the cascade
         # reruns on exact counts, and the result is the per-firing one.
         # One ulp misjudges only a phase at a threshold or one ulp under
-        # it, so the first firing nodes' neighbors are put there.
+        # it, so the first firing nodes' neighbors are put there. The
+        # exact thresholds are read off the orbit's counts within 64 ulps
+        # of the closed-form ones.
         p, theta = benchmark_lattice_state(low)
         table, bins, zero = _kick_setup(p)
+        degree = table.shape[1]
+
+        def counts(phases):
+            orbit = _kick_orbits(phases.ravel(), degree, p.gamma, p.epsilon)
+            return np.count_nonzero(orbit < 1.0, axis=0).reshape(phases.shape)
+
+        # row i brackets tau_k, k = degree - i: the least phase k kicks take to 1
+        near = (bins[:-1].view(np.int64)[:, None] + np.arange(-64, 65)).view(np.float64)
+        reach = counts(near) <= np.arange(degree, 0, -1)[:, None]
+        assert not reach[:, 0].any() and reach[:, -1].all()
+        taus = near[np.arange(degree), reach.argmax(axis=1)]
         firing = np.flatnonzero(theta >= 1.0)
         neighbors = np.setdiff1d(table[firing], np.append(firing, p.n_nodes))
-        taus = bins[:-1]
         theta[neighbors] = np.resize(np.column_stack([taus, np.nextafter(taus, 0.0)]).ravel(),
                                      neighbors.size)
         want, ref = reference_resolve(theta, p)
+
+        def misjudges(trial):
+            wrong = trial.size - np.digitize(theta, trial) != counts(theta)
+            # every misjudged count is a kicked neighbor's, which the check sees
+            assert wrong[neighbors].any() == wrong.any()
+            return wrong.any()
+
         cascade, cascades = ifo._cascade, []
         monkeypatch.setattr(ifo, "_cascade", lambda *a: cascades.append(a) or cascade(*a))
         shifted = [np.nextafter(taus, 1.0), np.nextafter(taus, 0.0), taus + 1e-3, taus - 1e-3]
-        for wrong, runs in [(bins, 1)] + [(np.append(t, 1.0), 2) for t in shifted]:
+        trials = [np.append(t, 1.0) for t in [taus] + shifted]
+        assert [misjudges(t) for t in trials] == [False] + [True] * len(shifted)
+        for wrong in trials + [bins]:
             out, cascades[:] = theta.copy(), []
             rec = _resolve_inplace(out, p, table, wrong, zero, 0.0)
             assert out.tobytes() == want.tobytes()
             assert (rec.size, rec.participants) == (ref.size, ref.participants)
-            assert len(cascades) == runs
+            assert len(cascades) == 1 + misjudges(wrong)
+
+    @pytest.mark.parametrize("kw, n_steps", [
+        (dict(gamma=GAMMA, epsilon=0.145, rows=64, cols=64, seed=0), 1000),
+        (dict(gamma=9.0, epsilon=0.24, rows=8, cols=8, seed=4), 3000),
+    ])
+    def test_closed_form_thresholds_take_no_fallback(self, kw, n_steps, monkeypatch):
+        # a fallback reruns the cascade, so a worse hint fails here rather
+        # than showing up only as a slower run
+        cascade, cascades = ifo._cascade, []
+        monkeypatch.setattr(ifo, "_cascade", lambda *a: cascades.append(1) or cascade(*a))
+        _, records = simulate_ifo(IfoParams(**kw), n_steps)
+        assert len(cascades) == len(records) > 0
 
 
 class TestSimulate:

@@ -604,6 +604,20 @@ class TestCli:
         assert "koopnet: error: dt must be finite and > 0" in capsys.readouterr().err
         assert not (tmp_path / "report.md").exists()
 
+    @pytest.mark.parametrize("flags, meta_dt", [(["--dt", "inf"], None),
+                                                 (["--dt", "0"], None), ([], "-1")])
+    def test_analyze_checks_dt_before_the_record_length(self, tmp_path, capsys,
+                                                        flags, meta_dt):
+        # 50 rows against a 200-row window: the bad dt is reported, not the length
+        path = tmp_path / "snapshots.csv"
+        rng = np.random.default_rng(0)
+        write_record(path, SnapshotMatrix(data=rng.normal(size=(50, 3))))
+        if meta_dt is not None:
+            write_meta(tmp_path / "meta.csv", {"model": "bs", "dt": meta_dt})
+        status = main(["analyze", str(path), "--window", "200", *flags])
+        assert status == 1
+        assert "koopnet: error: dt must be finite and > 0" in capsys.readouterr().err
+
     def test_analyze_rejects_non_numeric_meta_dt(self, tmp_path, capsys):
         path = tmp_path / "snapshots.csv"
         rng = np.random.default_rng(0)
