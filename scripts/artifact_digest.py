@@ -11,7 +11,7 @@ refactor changed any artifact byte:
 The first line is a ``#`` comment naming what the bits depend on besides
 the source: the numpy version, the CPU count and the BLAS thread
 variables. With ``OPENBLAS_NUM_THREADS=1`` the bits of the DMD's Gram
-product and its eigh differ from a two-thread run, and 26 of the 522
+product and its eigh differ from a two-thread run, and 26 of the 554
 files with them, so both sides of a comparison must run in the same
 environment.
 
@@ -68,6 +68,9 @@ CONFIGS = {
     # pipeline's row block, so windows straddle block edges at many offsets
     "bs-n60-seed9-ragged": ["--model", "bs", "--n", "60", "--steps", "1337", "--seed", "9",
                             "--window", "97", "--stride", "37"],
+    # no optional flag at all, so a moved default shows up as a diff
+    "bs-defaults-seed3": ["--model", "bs", "--steps", "1000", "--seed", "3"],
+    "ifo-defaults-seed3": ["--model", "ifo", "--steps", "1000", "--seed", "3"],
 }
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,92 +32,44 @@ ENV_OUT = "KOOPNET_OUT"
 _SPECTRUM_HEADER = ["re_lambda", "im_lambda", "re_mu", "im_mu", "amplitude", "mode_norm", "group"]
 
 
-@dataclass(kw_only=True)
-class AnalysisConfig:
-    """Windowed-analysis settings; its defaults are the CLI defaults."""
-
-    window_len: int = 200
-    stride: int | None = None
-    # Default rank 16: with full numerical rank, disordered windows keep
-    # directions down at machine-noise level and the least-squares
-    # amplitudes of every such window explode, drowning the jump
-    # detector. A modest fixed cap keeps within-regime windows
-    # well-conditioned so cross-regime windows stand out. rank=None
-    # means data-driven numerical rank.
-    rank: int | None = 16
-    jump_threshold: float = ana.JUMP_THRESHOLD
-
-    def __post_init__(self):
-        # the windows', dmd's and detect_transition's checks, before any work starts
-        ana._check_windows(self.window_len, self.stride)
-        _check_rank(self.rank)
-        ana._check_jump_threshold(self.jump_threshold)
-
-
-@dataclass(kw_only=True)
-class RunConfig(AnalysisConfig):
-    """Everything one pipeline invocation needs: which model, its
-    parameters, how long to run, and the analysis settings. Its
-    defaults are the CLI defaults."""
-
-    model: str
-    steps: int
-    output_dir: Path
-    seed: int = IfoParams.seed
-    # ifo
-    rows: int = 8
-    cols: int = 8
-    epsilon: float = 0.145
-    gamma: float = 2.0
-    dt: float = IfoParams.dt
-    boundary: str = IfoParams.boundary
-    # bs
-    n: int = 100
-
-    def __post_init__(self):
-        super().__post_init__()
-        _check_steps("steps", self.steps)  # before the output directory is made
-
-
-def cmd_simulate(config: RunConfig, windows: list[ana.WindowAnalysis] | None = None) -> tuple:
-    """Run the configured model, write snapshots.csv block by block as
-    it runs, then events.csv and meta.csv, to the output directory. With
-    `windows`, each written block also goes through the windowed
+def cmd_simulate(args: argparse.Namespace,
+                 windows: list[ana.WindowAnalysis] | None = None) -> tuple:
+    """Run the model the flags name, write snapshots.csv block by block
+    as it runs, then events.csv and meta.csv, to the output directory.
+    With `windows`, each written block also goes through the windowed
     analysis, which appends the windows it completes. Returns the
     record's (n_snapshots, labels, dt) and `windows`."""
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     events: list = []
-    if config.model == "ifo":
-        params = IfoParams(gamma=config.gamma, epsilon=config.epsilon,
-                           rows=config.rows, cols=config.cols,
-                           dt=config.dt, boundary=config.boundary, seed=config.seed)
+    if args.model == "ifo":
+        params = IfoParams(gamma=args.gamma, epsilon=args.epsilon, rows=args.rows,
+                           cols=args.cols, dt=args.dt, boundary=args.boundary, seed=args.seed)
         n_nodes, dt, write_events = params.n_nodes, params.dt, kio.write_ifo_events
-        blocks = ifo._blocks(params, ifo._initial_phases(params), config.steps, events)
+        blocks = ifo._blocks(params, ifo._initial_phases(params), args.steps, events)
         meta = {
             "model": "ifo", "rows": params.rows, "cols": params.cols,
             "epsilon": params.epsilon, "gamma": params.gamma, "dt": params.dt,
-            "boundary": params.boundary, "steps": config.steps,
+            "boundary": params.boundary, "steps": args.steps,
             "seed": params.seed,
         }
-    elif config.model == "bs":
-        params = BsParams(n=config.n, seed=config.seed)
+    else:
+        params = BsParams(n=args.n, seed=args.seed)
         n_nodes, dt, write_events = params.n, 1.0, kio.write_bs_events
-        blocks = bak_sneppen._blocks(params, config.steps, events)
+        blocks = bak_sneppen._blocks(params, args.steps, events)
         meta = {
             "model": "bs", "n": params.n, "dt": dt,
-            "steps": config.steps, "seed": params.seed,
+            "steps": args.steps, "seed": params.seed,
         }
-    else:
-        raise KoopnetError(f"unknown model {config.model!r}")
     if windows is not None:
-        blocks = ana._stream_windows(blocks, windows, dt, config.window_len,
-                                     config.stride, config.rank)
+        blocks = ana._stream_windows(blocks, windows, dt, args.window, args.stride, args.rank)
+    # the model parameters are checked, and the blocks not yet drawn,
+    # before the output directory is made
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     labels = default_labels(n_nodes)
     kio.write_snapshots(out / "snapshots.csv", labels, blocks)
     write_events(out / "events.csv", events)
     kio.write_meta(out / "meta.csv", meta)
-    return config.steps, labels, dt, windows
+    return args.steps, labels, dt, windows
 
 
 def _spectrum_rows(result, slow, fast):
@@ -154,14 +105,15 @@ def _mode_lines(labels: list[str], named_modes) -> list[str]:
     return lines
 
 
-def cmd_analyze(record: tuple, config: AnalysisConfig, out: Path) -> None:
+def cmd_analyze(record: tuple, args: argparse.Namespace) -> None:
     """From a record's (n_snapshots, labels, dt, windows), as simulated or
     read, write the spectrum and mode files of every window,
-    amplitudes.csv, transition.csv and report.md to `out`."""
+    amplitudes.csv, transition.csv and report.md to the output directory."""
     n_snapshots, labels, dt, windows = record
-    ana._check_length(n_snapshots, config.window_len)
+    ana._check_length(n_snapshots, args.window)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    report = ana.detect_transition(windows, jump_threshold=config.jump_threshold)
+    report = ana.detect_transition(windows, jump_threshold=args.jump_threshold)
 
     warnings: list[str] = []
     amp_rows = []
@@ -191,12 +143,12 @@ def cmd_analyze(record: tuple, config: AnalysisConfig, out: Path) -> None:
     transition_rows = []
     if report.transition_window is not None:
         transition_rows.append((report.transition_window, float(report.jump_ratio),
-                                float(config.jump_threshold)))
+                                float(args.jump_threshold)))
     kio.write_csv(out / "transition.csv", ["window", "ratio", "threshold"], transition_rows)
 
     kio.atomic_write_text(out / "report.md",
                           _render_report(f"{n_snapshots} x {len(labels)}, dt = {dt}",
-                                         windows, report, warnings, config.jump_threshold))
+                                         windows, report, warnings, args.jump_threshold))
 
 
 def _render_report(shape: str, windows, report, warnings, jump_threshold) -> str:
@@ -243,17 +195,18 @@ def _render_report(shape: str, windows, report, warnings, jump_threshold) -> str
     return "\n".join(lines) + "\n"
 
 
-def cmd_pipeline(config: RunConfig) -> None:
+def cmd_pipeline(args: argparse.Namespace) -> None:
     """Simulate, analyzing each window once its rows are written, so the
     record is never held whole: the artifacts are the same bytes
     `simulate` followed by `analyze` would write."""
-    cmd_analyze(cmd_simulate(config, windows=[]), config, Path(config.output_dir))
+    cmd_analyze(cmd_simulate(args, windows=[]), args)
 
 
-def _read_record(path: Path, dt: float | None, config: AnalysisConfig) -> tuple:
-    """cmd_analyze's input for the snapshots file at `path`, whose windows
-    are analyzed as its blocks are read. Its dt is `dt`, or else
-    meta.csv's beside the file, or else 1.0."""
+def _read_record(args: argparse.Namespace) -> tuple:
+    """cmd_analyze's input for the snapshots file the flags name, whose
+    windows are analyzed as its blocks are read. Its dt is --dt's, or
+    else meta.csv's beside the file, or else 1.0."""
+    path, dt = Path(args.snapshots), args.dt
     if dt is None:
         meta_path = path.parent / "meta.csv"
         meta = kio.read_meta(meta_path) if meta_path.exists() else {}
@@ -264,49 +217,37 @@ def _read_record(path: Path, dt: float | None, config: AnalysisConfig) -> tuple:
     _check_dt(dt)
     labels, blocks = kio.read_snapshots(path)
     windows = []
-    blocks = ana._stream_windows(blocks, windows, dt, config.window_len,
-                                 config.stride, config.rank)
+    blocks = ana._stream_windows(blocks, windows, dt, args.window, args.stride, args.rank)
     # pull every block: rows after the last window are checked too
     return sum(block.shape[0] for block in blocks), labels, dt, windows
-
-
-def _defaults(cls) -> dict:
-    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
 
 
 def _add_sim_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True, choices=["ifo", "bs"])
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--rows", type=int)
-    p.add_argument("--cols", type=int)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--boundary", choices=["open", "periodic"])
-    p.add_argument("--n", type=int, help="ring size (bs model)")
-    p.add_argument("--out", dest="output_dir", metavar="OUT", type=Path,
-                   default=os.environ.get(ENV_OUT, "."),
+    p.add_argument("--seed", type=int, default=IfoParams.seed)
+    p.add_argument("--rows", type=int, default=8)
+    p.add_argument("--cols", type=int, default=8)
+    p.add_argument("--epsilon", type=float, default=0.145)
+    p.add_argument("--gamma", type=float, default=2.0)
+    p.add_argument("--dt", type=float, default=IfoParams.dt)
+    p.add_argument("--boundary", choices=["open", "periodic"], default=IfoParams.boundary)
+    p.add_argument("--n", type=int, default=100, help="ring size (bs model)")
+    p.add_argument("--out", type=Path, default=os.environ.get(ENV_OUT, "."),
                    help=f"output directory (default ${ENV_OUT} or .)")
-    p.set_defaults(**_defaults(RunConfig))
 
 
 def _add_analysis_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--window", type=int, dest="window_len")
+    p.add_argument("--window", type=int, default=200)
     p.add_argument("--stride", type=int)
-    p.add_argument("--rank", type=int,
+    # Default rank 16: with full numerical rank, disordered windows keep
+    # directions down at machine-noise level and the least-squares
+    # amplitudes of every such window explode, drowning the jump
+    # detector. A modest fixed cap keeps within-regime windows
+    # well-conditioned so cross-regime windows stand out.
+    p.add_argument("--rank", type=int, default=16,
                    help="retained modes per window; 0 = data-driven numerical rank")
-    p.add_argument("--jump-threshold", type=float)
-    p.set_defaults(**_defaults(AnalysisConfig))
-
-
-def _config_from_args(cls, args: argparse.Namespace):
-    """`cls` built from the parsed flags named after its fields; --rank 0
-    asks for the data-driven numerical rank (None)."""
-    names = {f.name for f in fields(cls)}
-    values = {k: v for k, v in vars(args).items() if k in names}
-    values["rank"] = values["rank"] or None
-    return cls(**values)
+    p.add_argument("--jump-threshold", type=float, default=ana.JUMP_THRESHOLD)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -322,10 +263,9 @@ def main(argv: list[str] | None = None) -> int:
 
     p_ana = sub.add_parser("analyze", help="windowed spectral analysis of a snapshots file")
     p_ana.add_argument("snapshots", help="path to snapshots.csv")
-    p_ana.add_argument("--dt", type=float, default=None,
+    p_ana.add_argument("--dt", type=float,
                        help="snapshot interval (default: from meta.csv beside the input)")
-    p_ana.add_argument("--out", default=None,
-                       help="output directory (default: directory of the input)")
+    p_ana.add_argument("--out", help="output directory (default: directory of the input)")
     _add_analysis_args(p_ana)
 
     p_pipe = sub.add_parser("pipeline", help="simulate then analyze, one invocation")
@@ -334,16 +274,24 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        # every flag is checked before any work starts: the analysis flags
+        # before the input is read or the model runs, --steps before the
+        # output directory is made
+        if args.command != "simulate":
+            args.rank = args.rank or None  # 0: the data-driven numerical rank
+            ana._check_windows(args.window, args.stride)
+            _check_rank(args.rank)
+            ana._check_jump_threshold(args.jump_threshold)
+        if args.command != "analyze":
+            _check_steps("steps", args.steps)
         if args.command == "simulate":
-            cmd_simulate(_config_from_args(RunConfig, args))
+            cmd_simulate(args)
         elif args.command == "analyze":
-            # the flags are checked before the input is read
-            config = _config_from_args(AnalysisConfig, args)
-            path = Path(args.snapshots)
-            out = Path(args.out) if args.out is not None else path.parent
-            cmd_analyze(_read_record(path, args.dt, config), config, out)
+            if args.out is None:
+                args.out = Path(args.snapshots).parent
+            cmd_analyze(_read_record(args), args)
         else:
-            cmd_pipeline(_config_from_args(RunConfig, args))
+            cmd_pipeline(args)
     except (KoopnetError, OSError) as exc:
         print(f"koopnet: error: {exc}", file=sys.stderr)
         return 1

@@ -146,28 +146,29 @@ def _phase(e, gamma, em1):
     return -np.log1p(e * em1) / gamma
 
 
+def _checked(x, gamma, name: str) -> np.ndarray:
+    """`x` as a float array, once gamma is finite and > 0 and every entry
+    of `x` lies in [0, 1]; NaN fails both checks."""
+    x = np.asarray(x, dtype=float)
+    if not 0 < gamma < np.inf:
+        raise DomainError(f"gamma must be finite and > 0, got {gamma}")
+    if not np.all((x >= 0) & (x <= 1)):
+        raise DomainError(f"{name} outside [0, 1]")
+    return x
+
+
 def energy_of_phase(theta, gamma):
     """Energy as a function of phase: E(t) = K (1 - exp(-gamma t)) with
     K = 1/(1 - exp(-gamma)), so E(0) = 0, E(1) = 1, strictly increasing
     and concave. Accepts scalars or arrays. The simulator's coupling
     kicks use this same map."""
-    theta = np.asarray(theta, dtype=float)
-    if not gamma > 0:
-        raise DomainError(f"gamma must be > 0, got {gamma}")
-    if np.any(theta < 0) or np.any(theta > 1):
-        raise DomainError("phase outside [0, 1]")
-    out = _energy(theta, gamma, np.expm1(-gamma))
+    out = _energy(_checked(theta, gamma, "phase"), gamma, np.expm1(-gamma))
     return out if out.ndim else float(out)
 
 
 def phase_of_energy(e, gamma):
     """Exact inverse of :func:`energy_of_phase` on [0, 1]."""
-    e = np.asarray(e, dtype=float)
-    if not gamma > 0:
-        raise DomainError(f"gamma must be > 0, got {gamma}")
-    if np.any(e < 0) or np.any(e > 1):
-        raise DomainError("energy outside [0, 1]")
-    out = _phase(e, gamma, np.expm1(-gamma))
+    out = _phase(_checked(e, gamma, "energy"), gamma, np.expm1(-gamma))
     return out if out.ndim else float(out)
 
 

@@ -167,11 +167,16 @@ def test_criterion_4_amplitude_jump_transition(ifo_runs):
     """detect_transition flags the synchronization onset window (+/- 1)
     with jump ratio >= 1e2 for >= 90% of seeds, pipeline defaults.
 
-    Known shortfall: with the pinned parameters the lattice locks inside
-    the first one or two 200-step windows for a quarter of the seeds, so
-    no pre-transition baseline window exists and no upward jump can be
-    measured there. Best observed is 15/20; the 90% target is kept
-    verbatim and this test is expected to fail.
+    Known shortfall: 15/20 seeds are flagged. Every seed's onset falls
+    in window 1 or 2, so window 0 is always a pre-transition baseline;
+    window 1, which straddles the lock, decides. In the 15 hits it keeps
+    rank 6-16, its unit-mode matrix has condition number 3.7e6-4.7e7 and
+    its maximum amplitude is 2.3e5-2.5e6: the jump is an ill-conditioned
+    amplitude solve. In the 5 misses (seeds 1, 2, 4, 5, 6) window 1 is
+    already mostly locked, with rank 3-5, condition number 16-44 and a
+    maximum of 3.4-3.5, below window 0's 4.9-29, so there is no upward
+    jump. The 90% target is kept verbatim and this test is expected to
+    fail.
     """
     hits = 0
     for run in ifo_runs["runs"]:

@@ -178,6 +178,17 @@ class TestEnergyProfile:
         with pytest.raises(DomainError):
             phase_of_energy(1.0001, GAMMA)
 
+    @pytest.mark.parametrize("fn, x, gamma, message", [
+        (energy_of_phase, 0.0, np.inf, "gamma must be finite and > 0"),
+        (phase_of_energy, 1.0, np.inf, "gamma must be finite and > 0"),
+        (energy_of_phase, np.nan, 2.0, r"phase outside \[0, 1\]"),
+        (phase_of_energy, np.nan, 2.0, r"energy outside \[0, 1\]"),
+    ], ids=["energy-gamma-inf", "phase-gamma-inf", "energy-of-nan", "phase-of-nan"])
+    def test_nan_is_a_domain_error(self, fn, x, gamma, message):
+        # each of these returned NaN without raising
+        with pytest.raises(DomainError, match=message):
+            fn(x, gamma)
+
     def test_inverse_example(self):
         e = energy_of_phase(0.7311, GAMMA)
         assert phase_of_energy(e, GAMMA) == pytest.approx(0.7311, abs=1e-12)

@@ -402,6 +402,11 @@ class TestCli:
         assert len((tmp_path / "amplitudes.csv").read_text().splitlines()) == 1 + 2
         assert len((tmp_path / "spectrum_w0.csv").read_text().splitlines()) == 1 + 16
         assert "threshold x100)" in (tmp_path / "report.md").read_text()
+        # bs: ring of 100, seed 0
+        out = tmp_path / "bs"
+        assert main(["simulate", "--model", "bs", "--steps", "60", "--out", str(out)]) == 0
+        meta = read_meta(out / "meta.csv")
+        assert (meta["n"], meta["seed"]) == ("100", "0")
 
     def test_simulate_bs_artifacts(self, tmp_path):
         out = tmp_path / "run"
@@ -526,6 +531,10 @@ class TestCli:
         # its windows and strides at many offsets
         pytest.param(["--model", "bs", "--n", "60", "--steps", "1337", "--seed", "9"],
                      ["--window", "97", "--stride", "37"], 34, id="bs-ragged"),
+        # --rank 0 and --jump-threshold reach both parsers' analysis
+        pytest.param(["--model", "bs", "--n", "60", "--steps", "1337", "--seed", "9"],
+                     ["--window", "97", "--stride", "37", "--rank", "0",
+                      "--jump-threshold", "10"], 34, id="bs-ragged-rank0"),
     ])
     def test_pipeline_matches_simulate_then_analyze(self, tmp_path, model_args, analysis_args,
                                                     n_windows):
@@ -555,6 +564,21 @@ class TestCli:
         assert status == 1
         assert f"koopnet: error: steps must be >= 2, got {steps}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    @pytest.mark.parametrize("model_args, message", [
+        (["--model", "bs", "--n", "2"], "ring size must be >= 3, got 2"),
+        (["--model", "ifo", "--epsilon", "0.3"], "dissipative coupling violated"),
+        (["--model", "ifo", "--seed", "-1"], "seed must be >= 0, got -1"),
+    ], ids=["bs-n2", "ifo-epsilon", "ifo-seed"])
+    def test_bad_model_parameter_exits_before_making_the_output_dir(self, tmp_path, capsys,
+                                                                    command, model_args,
+                                                                    message):
+        out = tmp_path / "new" / "sub"
+        status = main([command, *model_args, "--steps", "10", "--out", str(out)])
+        assert status == 1
+        assert f"koopnet: error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
 
     def test_invalid_config_exits_one(self, tmp_path, capsys):
         status = main(["simulate", "--model", "ifo", "--steps", "10",

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from koopnet import BsParams, ConfigError, IfoParams, SnapshotMatrix, simulate_bs, simulate_ifo
 from koopnet import bak_sneppen, ifo
 from koopnet.analysis import _stream_windows, windowed_dmd
-from koopnet.cli import RunConfig, cmd_pipeline, cmd_simulate, main
+from koopnet.cli import main
 
 
 def bs_record(n, steps, seed):
@@ -144,11 +144,14 @@ class TestSimulatorBlocks:
                        for i, a in enumerate(blocks) for b in blocks[i + 1:])
 
 
+def bs_args(out: Path, steps: int) -> list[str]:
+    return ["--model", "bs", "--n", "100", "--steps", str(steps), "--seed", "1", "--out", str(out)]
+
+
 def pipeline_peak(out: Path, steps: int) -> int:
-    config = RunConfig(model="bs", n=100, steps=steps, seed=1, output_dir=out)
     tracemalloc.start()
     try:
-        cmd_pipeline(config)
+        assert main(["pipeline", *bs_args(out, steps)]) == 0
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -162,7 +165,7 @@ def test_pipeline_memory_does_not_grow_with_the_record(tmp_path):
 
 
 def analyze_peak(out: Path, steps: int) -> int:
-    cmd_simulate(RunConfig(model="bs", n=100, steps=steps, seed=1, output_dir=out))
+    assert main(["simulate", *bs_args(out, steps)]) == 0
     tracemalloc.start()
     try:
         assert main(["analyze", str(out / "snapshots.csv")]) == 0
