@@ -16,7 +16,8 @@ import numpy as np
 
 from .dmd import DmdResult, dmd
 from .dmd import build_snapshot_pairs  # noqa: F401  (bound by bench/spans.py)
-from .errors import ConfigError, DegenerateDataError, InsufficientDataError, NotFoundError
+from .errors import (ConfigError, DegenerateDataError, DomainError, InsufficientDataError,
+                     NotFoundError)
 from .snapshots import SnapshotMatrix, default_labels
 
 
@@ -84,6 +85,11 @@ def _check_jump_threshold(jump_threshold: float) -> None:
 def _check_length(n_snapshots: int, window_len: int) -> None:
     if n_snapshots < window_len:
         raise ConfigError(f"record length {n_snapshots} is shorter than window_len {window_len}")
+
+
+def _check_window_count(n_windows: int) -> None:
+    if n_windows < 2:
+        raise InsufficientDataError(f"need >= 2 windows, got {n_windows}")
 
 
 def windowed_dmd(snapshots: SnapshotMatrix, window_len: int,
@@ -172,8 +178,7 @@ def detect_transition(windows: list[WindowAnalysis],
     jumps, while within-regime fluctuation stays well below it.
     """
     _check_jump_threshold(jump_threshold)
-    if len(windows) < 2:
-        raise InsufficientDataError(f"need >= 2 windows, got {len(windows)}")
+    _check_window_count(len(windows))
     prev = None
     for w in windows:
         if w.degenerate:
@@ -256,6 +261,8 @@ def spatial_pattern(mode: np.ndarray, labels: list[str] | None = None) -> Spatia
     mode = np.asarray(mode)
     if mode.ndim != 1 or mode.shape[0] < 1:
         raise ConfigError("mode must be a non-empty 1-D vector")
+    if not np.all(np.isfinite(mode)):
+        raise DomainError("mode must be finite")
     # the loop runs on Python floats, where the same IEEE comparisons and
     # arithmetic cost a fraction of what they do on numpy scalars
     mags = np.abs(mode).astype(float, copy=False).tolist()

@@ -43,8 +43,7 @@ def cmd_simulate(args: argparse.Namespace,
     if args.model == "ifo":
         params = IfoParams(gamma=args.gamma, epsilon=args.epsilon, rows=args.rows,
                            cols=args.cols, dt=args.dt, boundary=args.boundary, seed=args.seed)
-        n_nodes, dt, write_events = params.n_nodes, params.dt, kio.write_ifo_events
-        blocks = ifo._blocks(params, ifo._initial_phases(params), args.steps, events)
+        model, n_nodes, dt, write_events = ifo, params.n_nodes, params.dt, kio.write_ifo_events
         meta = {
             "model": "ifo", "rows": params.rows, "cols": params.cols,
             "epsilon": params.epsilon, "gamma": params.gamma, "dt": params.dt,
@@ -53,16 +52,19 @@ def cmd_simulate(args: argparse.Namespace,
         }
     else:
         params = BsParams(n=args.n, seed=args.seed)
-        n_nodes, dt, write_events = params.n, 1.0, kio.write_bs_events
-        blocks = bak_sneppen._blocks(params, args.steps, events)
+        model, n_nodes, dt, write_events = bak_sneppen, params.n, 1.0, kio.write_bs_events
         meta = {
             "model": "bs", "n": params.n, "dt": dt,
             "steps": args.steps, "seed": params.seed,
         }
+    blocks = model._blocks(params, args.steps, events)
     if windows is not None:
+        ana._check_length(args.steps, args.window)
+        stride = args.stride or args.window
+        ana._check_window_count(len(range(0, args.steps - args.window + 1, stride)))
         blocks = ana._stream_windows(blocks, windows, dt, args.window, args.stride, args.rank)
-    # the model parameters are checked, and the blocks not yet drawn,
-    # before the output directory is made
+    # the model parameters and the window plan are checked, and the blocks
+    # not yet drawn, before the output directory is made
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     labels = default_labels(n_nodes)
@@ -110,7 +112,6 @@ def cmd_analyze(record: tuple, args: argparse.Namespace) -> None:
     read, write the spectrum and mode files of every window,
     amplitudes.csv, transition.csv and report.md to the output directory."""
     n_snapshots, labels, dt, windows = record
-    ana._check_length(n_snapshots, args.window)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report = ana.detect_transition(windows, jump_threshold=args.jump_threshold)
@@ -219,7 +220,9 @@ def _read_record(args: argparse.Namespace) -> tuple:
     windows = []
     blocks = ana._stream_windows(blocks, windows, dt, args.window, args.stride, args.rank)
     # pull every block: rows after the last window are checked too
-    return sum(block.shape[0] for block in blocks), labels, dt, windows
+    n_snapshots = sum(block.shape[0] for block in blocks)
+    ana._check_length(n_snapshots, args.window)
+    return n_snapshots, labels, dt, windows
 
 
 def _add_sim_args(p: argparse.ArgumentParser) -> None:

@@ -57,7 +57,11 @@ class IfoParams:
                 f"dissipative coupling violated: degree {max_degree} * epsilon "
                 f"{self.epsilon} >= 1"
             )
-        if _kicks_reach_threshold(max_degree, self.gamma, self.epsilon):
+        # degree * eps < 1 rules out in exact arithmetic that `max_degree`
+        # kicks take a reset node to the threshold, but within rounding of
+        # 1/degree the simulator's own kick map can land on E = 1.0, and a
+        # node that fires with all its neighbors then fires in every sweep
+        if _kick_orbits(np.zeros(1), max_degree, self.gamma, self.epsilon)[-1, 0] >= 1.0:
             raise ConfigError(
                 f"dissipative coupling violated in rounding: {max_degree} kicks of epsilon "
                 f"{self.epsilon} take a reset node to the threshold at gamma {self.gamma}"
@@ -82,15 +86,6 @@ class AvalancheRecord:
 
 # a threshold count no kick count reaches: fired nodes and the sentinel
 _NEVER = np.iinfo(np.intp).max
-
-
-def _kicks_reach_threshold(degree: int, gamma: float, eps: float) -> bool:
-    """Whether `degree` kicks, through the simulator's own kick map, take
-    a node from phase 0 to the threshold. degree * eps < 1 rules that out
-    in exact arithmetic, but within rounding of 1/degree the map can land
-    on E = 1.0, and a node that fires with all its neighbors then fires
-    again in every sweep."""
-    return bool(_kick_orbits(np.zeros(1), degree, gamma, eps)[-1, 0] >= 1.0)
 
 
 def _kick_orbits(theta: np.ndarray, degree: int, gamma: float, eps: float) -> np.ndarray:
@@ -300,28 +295,23 @@ def simulate_ifo(params: IfoParams, n_steps: int) -> tuple[SnapshotMatrix, list[
     parameter set.
     """
     _check_steps("n_steps", n_steps)
-    return _simulate(params, _initial_phases(params), n_steps)
+    snaps = np.empty((n_steps, params.n_nodes))
+    records: list[AvalancheRecord] = []
+    for _ in _blocks(params, n_steps, records, snaps):
+        pass
+    return SnapshotMatrix(data=snaps, dt=params.dt), records
 
 
 def _initial_phases(params: IfoParams) -> np.ndarray:
     return np.random.default_rng(params.seed).random(params.n_nodes)
 
 
-def _simulate(params: IfoParams, theta: np.ndarray,
-              n_steps: int) -> tuple[SnapshotMatrix, list[AvalancheRecord]]:
-    """:func:`simulate_ifo` from the phases `theta` at time 0, mutating theta."""
-    snaps = np.empty((n_steps, theta.size))
-    records: list[AvalancheRecord] = []
-    for _ in _blocks(params, theta, n_steps, records, snaps):
-        pass
-    return SnapshotMatrix(data=snaps, dt=params.dt), records
-
-
-def _blocks(params: IfoParams, theta: np.ndarray, n_steps: int,
-            records: list[AvalancheRecord], record: np.ndarray | None = None):
-    """Yield _simulate's phase rows, up to `_BLOCK_ROWS` steps per block,
-    appending the avalanches to `records`. A block is a new array, or the
-    view of its rows of the T x n `record` if given."""
+def _blocks(params: IfoParams, n_steps: int, records: list[AvalancheRecord],
+            record: np.ndarray | None = None):
+    """Yield simulate_ifo's phase rows, up to `_BLOCK_ROWS` steps per
+    block, appending the avalanches to `records`. A block is a new array,
+    or the view of its rows of the T x n `record` if given."""
+    theta = _initial_phases(params)
     kick_setup = _kick_setup(params)
     time = 0.0
     for start in range(0, n_steps, _BLOCK_ROWS):
@@ -330,10 +320,9 @@ def _blocks(params: IfoParams, theta: np.ndarray, n_steps: int,
         for row in rows:
             theta += params.dt
             time += params.dt
-            if np.max(theta) >= 1.0:
-                rec = _resolve_inplace(theta, params, *kick_setup, time)
-                if rec is not None:
-                    records.append(rec)
+            rec = _resolve_inplace(theta, params, *kick_setup, time)
+            if rec is not None:
+                records.append(rec)
             row[:] = theta
         yield rows
 

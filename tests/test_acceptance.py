@@ -29,6 +29,7 @@ from koopnet import (
     zero_frequency_mode,
 )
 from koopnet.cli import main
+from systems import random_system, sorted_eigs
 
 N_SEEDS = 20
 IFO_STEPS = 5000
@@ -39,35 +40,6 @@ def report(number, ok, detail):
     line = f"{'PASS' if ok else 'FAIL'} criterion {number}: {detail}"
     print(line)
     return ok
-
-
-def rotation(w):
-    return np.array([[np.cos(w), -np.sin(w)], [np.sin(w), np.cos(w)]])
-
-
-def random_linear_system(rng, n):
-    """Diagonalizable, distinct eigenvalues, moderate basis conditioning."""
-    n_pairs = rng.integers(0, n // 2 + 1)
-    blocks = [np.array([[rng.uniform(0.5, 1.1) * rng.choice([-1.0, 1.0])]])
-              for _ in range(n - 2 * n_pairs)]
-    for _ in range(n_pairs):
-        blocks.append(rng.uniform(0.5, 1.1) * rotation(rng.uniform(0.2, np.pi - 0.2)))
-    d = np.zeros((n, n))
-    at = 0
-    for b in blocks:
-        k = b.shape[0]
-        d[at:at + k, at:at + k] = b
-        at += k
-    while True:
-        s = rng.normal(size=(n, n))
-        if np.linalg.cond(s) < 50:
-            break
-    return s @ d @ np.linalg.inv(s)
-
-
-def sorted_eigs(values):
-    values = np.asarray(values, dtype=complex)
-    return values[np.lexsort((values.imag, values.real))]
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +84,7 @@ def test_criterion_1_dmd_oracle():
     worst = 0.0
     for _ in range(200):
         n = int(rng.integers(2, 7))
-        m = random_linear_system(rng, n)
+        m = random_system(rng, n)
         rows = [rng.normal(size=n)]
         for _ in range(49):
             rows.append(m @ rows[-1])
@@ -259,7 +231,7 @@ def test_criterion_7_zero_frequency_localization():
                          f"({100 * good / max(total, 1):.0f}%, need >= 80%)")
 
 
-def test_criterion_8_invariant_sweeps(ifo_runs):
+def test_criterion_8_invariant_sweeps(ifo_runs, monkeypatch):
     """Condensed re-run of every module's invariant suite: >= 1000 cases
     for pure functions, >= 20 seeds for simulation-level invariants.
 
@@ -329,7 +301,7 @@ def test_criterion_8_invariant_sweeps(ifo_runs):
             break
 
     # split_timescales partition + eps = 0 offsets + determinism (20 seeds)
-    from koopnet.ifo import _simulate
+    from koopnet import ifo
 
     for seed in range(20):
         srng = np.random.default_rng(seed)
@@ -345,7 +317,9 @@ def test_criterion_8_invariant_sweeps(ifo_runs):
         # grid-aligned initial phases: firing then lands exactly on the
         # threshold, so no overshoot is dissipated at the reset and the
         # uncoupled offsets are preserved for the whole run
-        free, _ = _simulate(p0, srng.integers(0, 100, size=3) * p0.dt, 200)
+        phases = srng.integers(0, 100, size=3) * p0.dt
+        monkeypatch.setattr(ifo, "_initial_phases", lambda params: phases)
+        free, _ = simulate_ifo(p0, 200)
         diffs = np.mod(free.data - free.data[:, :1], 1.0)
         if np.max(np.ptp(diffs, axis=0)) > 1e-9:
             failures.append("eps = 0 constant offsets")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from koopnet import (
     ConfigError,
     DmdResult,
+    DomainError,
     InsufficientDataError,
     NotFoundError,
     SnapshotMatrix,
@@ -273,6 +274,11 @@ class TestSpatialPattern:
         assert pattern.entries[0][0] == "a"
         with pytest.raises(ConfigError):
             spatial_pattern(np.array([1.0, 2.0]), labels=["a"])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_mode_is_a_domain_error(self, value):
+        with pytest.raises(DomainError, match="mode must be finite"):
+            spatial_pattern(np.array([value, 1.0, 1.0]))
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**31), n=st.integers(1, 20))

@@ -18,6 +18,7 @@ from koopnet import (
     reconstruct,
 )
 from koopnet.dmd import _basis, _kernel, _log_map
+from systems import random_system, rotation, sorted_eigs
 
 
 def linear_data(m, x0, n_steps):
@@ -25,41 +26,6 @@ def linear_data(m, x0, n_steps):
     for _ in range(n_steps):
         rows.append(m @ rows[-1])
     return np.array(rows)
-
-
-def rotation(w):
-    return np.array([[np.cos(w), -np.sin(w)], [np.sin(w), np.cos(w)]])
-
-
-def random_system(rng, n):
-    """Diagonalizable matrix with distinct eigenvalues in a stable
-    annulus, conjugated by a moderately conditioned basis."""
-    n_pairs = rng.integers(0, n // 2 + 1)
-    eigs = []
-    while len(eigs) < n - 2 * n_pairs:
-        eigs.append(rng.uniform(0.5, 1.1) * rng.choice([-1.0, 1.0]))
-    blocks = [np.array([[e]]) for e in eigs]
-    for _ in range(n_pairs):
-        radius = rng.uniform(0.5, 1.1)
-        angle = rng.uniform(0.2, np.pi - 0.2)
-        blocks.append(radius * rotation(angle))
-    d = np.zeros((n, n))
-    at = 0
-    for b in blocks:
-        k = b.shape[0]
-        d[at:at + k, at:at + k] = b
-        at += k
-    while True:
-        s = rng.normal(size=(n, n))
-        if np.linalg.cond(s) < 50:
-            break
-    return s @ d @ np.linalg.inv(s)
-
-
-def sorted_eigs(values):
-    values = np.asarray(values, dtype=complex)
-    order = np.lexsort((values.imag, values.real))
-    return values[order]
 
 
 class TestSnapshotPairs:

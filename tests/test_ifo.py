@@ -22,7 +22,7 @@ from koopnet import (
     synchronization_onset,
 )
 import koopnet.ifo as ifo
-from koopnet.ifo import _kick_orbits, _kick_setup, _neighbor_table, _resolve_inplace, _simulate
+from koopnet.ifo import _kick_orbits, _kick_setup, _neighbor_table, _resolve_inplace
 
 GAMMA = 2.0
 
@@ -607,9 +607,10 @@ class TestSimulate:
         assert set(np.diff(resets)) <= {100, 101}
         assert all(r.size == 1 for r in records)
 
-    def test_uncoupled_pair_keeps_phase_offset(self):
+    def test_uncoupled_pair_keeps_phase_offset(self, monkeypatch):
         p = IfoParams(gamma=GAMMA, epsilon=0.0, rows=1, cols=2)
-        snaps, _ = _simulate(p, np.array([0.0, 0.5]), 500)
+        monkeypatch.setattr(ifo, "_initial_phases", lambda params: np.array([0.0, 0.5]))
+        snaps, _ = simulate_ifo(p, 500)
         diff = np.mod(snaps.data[:, 1] - snaps.data[:, 0], 1.0)
         assert np.max(np.abs(diff - 0.5)) <= 1e-9
 
@@ -657,9 +658,10 @@ class TestSimulate:
 
 
 class TestFullSyncOrbit:
-    def test_all_equal_state_stays_system_spanning_and_periodic(self):
+    def test_all_equal_state_stays_system_spanning_and_periodic(self, monkeypatch):
         p = IfoParams(gamma=GAMMA, epsilon=0.145, rows=3, cols=3)
-        _, records = _simulate(p, np.full(9, 0.5), 800)
+        monkeypatch.setattr(ifo, "_initial_phases", lambda params: np.full(9, 0.5))
+        _, records = simulate_ifo(p, 800)
         assert len(records) >= 3
         assert all(r.size == 9 for r in records)
         gaps = np.diff([r.start_time for r in records])

@@ -545,13 +545,19 @@ class TestCli:
         assert len(read_dir_bytes(piped)) == 3 + 2 * n_windows + 3
         assert read_dir_bytes(piped) == read_dir_bytes(staged)
 
-    def test_pipeline_keeps_simulation_artifacts_when_analysis_fails(self, tmp_path, capsys):
+    @pytest.mark.parametrize("window_args, message", [
+        (["--steps", "300", "--window", "200"], "need >= 2 windows, got 1"),
+        (["--steps", "300", "--window", "100", "--stride", "250"], "need >= 2 windows, got 1"),
+        (["--steps", "100", "--window", "200"],
+         "record length 100 is shorter than window_len 200"),
+    ], ids=["one-window", "one-window-stride", "short-record"])
+    def test_pipeline_checks_the_window_plan_first(self, tmp_path, capsys, window_args, message):
+        # the flags fix the window count, so no output directory is made
         out = tmp_path / "run"
-        status = main(["pipeline", "--model", "bs", "--n", "10", "--steps", "50",
-                       "--window", "200", "--out", str(out)])
+        status = main(["pipeline", "--model", "bs", "--n", "10", *window_args, "--out", str(out)])
         assert status == 1
-        assert "shorter than window_len" in capsys.readouterr().err
-        assert sorted(read_dir_bytes(out)) == ["events.csv", "meta.csv", "snapshots.csv"]
+        assert f"koopnet: error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, steps", [
         ("simulate", "0"), ("pipeline", "0"), ("simulate", "1"), ("pipeline", "1"),

@@ -128,7 +128,7 @@ class TestSimulatorBlocks:
         snaps, records = simulate_ifo(params, steps)
         events = []
         with mock.patch.object(ifo, "_BLOCK_ROWS", block_rows):
-            blocks = list(ifo._blocks(params, ifo._initial_phases(params), steps, events))
+            blocks = list(ifo._blocks(params, steps, events))
         assert [b.shape[0] for b in blocks[:-1]] == [block_rows] * (len(blocks) - 1)
         assert np.concatenate(blocks).tobytes() == snaps.data.tobytes()
         assert [(r.start_time, r.size, r.participants) for r in events] == \
@@ -138,7 +138,7 @@ class TestSimulatorBlocks:
         # the streamed windows keep earlier blocks: no block may reuse another's memory
         blocks = list(bak_sneppen._blocks(BsParams(n=5), 200, []))
         params = IfoParams(gamma=2.0, epsilon=0.145, rows=2, cols=2)
-        blocks += list(ifo._blocks(params, ifo._initial_phases(params), 200, []))
+        blocks += list(ifo._blocks(params, 200, []))
         assert len(blocks) == 8
         assert not any(np.shares_memory(a, b)
                        for i, a in enumerate(blocks) for b in blocks[i + 1:])
