@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InsufficientDataError
-from .snapshots import _BLOCK_ROWS, SnapshotMatrix, _check_steps
+from .snapshots import _BLOCK_ROWS, SnapshotMatrix, _check_steps, _rows
 
 
 @dataclass(frozen=True)
@@ -49,22 +49,18 @@ def _replace_minimum(fitness: np.ndarray, draws) -> int:
     return i_min
 
 
-def _blocks(params: BsParams, n_iterations: int, min_history: list[int],
-            record: np.ndarray | None = None):
-    """Yield simulate_bs's fitness rows, up to `_BLOCK_ROWS` updates per
-    block, appending the replaced minima to `min_history`. A block is a
-    new array, or the view of its rows of the T x n `record` if given."""
-    # PCG64 draws the same doubles however they are chunked, so a block's
-    # rng.random((b, 3)) gives every block size the same run
+def _states(params: BsParams, min_history: list[int]):
+    """Yield the fitness vector after every update, without end: one
+    array, updated in place, appending each replaced minimum to
+    `min_history`."""
+    # PCG64 draws the same doubles however they are chunked, so drawing
+    # the triples `_BLOCK_ROWS` steps at a time gives the one-per-step run
     rng = np.random.default_rng(params.seed)
     fitness = rng.random(params.n)
-    for start in range(0, n_iterations, _BLOCK_ROWS):
-        b = min(_BLOCK_ROWS, n_iterations - start)
-        rows = np.empty((b, params.n)) if record is None else record[start:start + b]
-        for row, draws in zip(rows, rng.random((b, 3)).tolist()):
+    while True:
+        for draws in rng.random((_BLOCK_ROWS, 3)).tolist():
             min_history.append(_replace_minimum(fitness, draws))
-            row[:] = fitness
-        yield rows
+            yield fitness
 
 
 def simulate_bs(params: BsParams, n_iterations: int) -> tuple[SnapshotMatrix, list[int]]:
@@ -73,10 +69,8 @@ def simulate_bs(params: BsParams, n_iterations: int) -> tuple[SnapshotMatrix, li
     every step. Deterministic for a fixed (params, n_iterations):
     PCG64 seeded with params.seed, one 3-draw block per step."""
     _check_steps("n_iterations", n_iterations)
-    snaps = np.empty((n_iterations, params.n))
     min_history: list[int] = []
-    for _ in _blocks(params, n_iterations, min_history, snaps):
-        pass
+    snaps = _rows(_states(params, min_history), n_iterations, params.n)
     return SnapshotMatrix(data=snaps, dt=1.0), min_history
 
 

@@ -23,7 +23,7 @@ from .bak_sneppen import simulate_bs  # noqa: F401  (bound by bench/spans.py)
 from .dmd import _check_dt, _check_rank
 from .errors import KoopnetError
 from .ifo import IfoParams
-from .snapshots import _check_steps, default_labels
+from .snapshots import _blocks, _check_steps, default_labels
 
 ENV_OUT = "KOOPNET_OUT"
 
@@ -57,7 +57,7 @@ def cmd_simulate(args: argparse.Namespace,
             "model": "bs", "n": params.n, "dt": dt,
             "steps": args.steps, "seed": params.seed,
         }
-    blocks = model._blocks(params, args.steps, events)
+    blocks = _blocks(model._states(params, events), args.steps, n_nodes)
     if windows is not None:
         ana._check_length(args.steps, args.window)
         stride = args.stride or args.window
@@ -112,9 +112,9 @@ def cmd_analyze(record: tuple, args: argparse.Namespace) -> None:
     read, write the spectrum and mode files of every window,
     amplitudes.csv, transition.csv and report.md to the output directory."""
     n_snapshots, labels, dt, windows = record
+    report = ana.detect_transition(windows, jump_threshold=args.jump_threshold)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    report = ana.detect_transition(windows, jump_threshold=args.jump_threshold)
 
     warnings: list[str] = []
     amp_rows = []

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, KoopnetError
-from .snapshots import _BLOCK_ROWS, SnapshotMatrix, _check_steps
+from .errors import ConfigError, DomainError
+from .snapshots import SnapshotMatrix, _check_steps, _rows
 
 
 @dataclass(frozen=True)
@@ -244,10 +244,6 @@ def _resolve_inplace(theta: np.ndarray, params: IfoParams, table: np.ndarray,
     firing = np.flatnonzero(theta >= 1.0)
     if firing.size == 0:
         return None
-    if zero[-1] >= 1.0:
-        raise KoopnetError(
-            f"avalanche did not terminate: {table.shape[1]} kicks take a reset node to the threshold"
-        )
     fired = _settle(theta, firing, params, table, bins, zero)
     # made once _settle's work arrays are freed, the set, which the
     # record keeps, can reuse their heap space rather than pin the heap's
@@ -295,10 +291,8 @@ def simulate_ifo(params: IfoParams, n_steps: int) -> tuple[SnapshotMatrix, list[
     parameter set.
     """
     _check_steps("n_steps", n_steps)
-    snaps = np.empty((n_steps, params.n_nodes))
     records: list[AvalancheRecord] = []
-    for _ in _blocks(params, n_steps, records, snaps):
-        pass
+    snaps = _rows(_states(params, records), n_steps, params.n_nodes)
     return SnapshotMatrix(data=snaps, dt=params.dt), records
 
 
@@ -306,25 +300,20 @@ def _initial_phases(params: IfoParams) -> np.ndarray:
     return np.random.default_rng(params.seed).random(params.n_nodes)
 
 
-def _blocks(params: IfoParams, n_steps: int, records: list[AvalancheRecord],
-            record: np.ndarray | None = None):
-    """Yield simulate_ifo's phase rows, up to `_BLOCK_ROWS` steps per
-    block, appending the avalanches to `records`. A block is a new array,
-    or the view of its rows of the T x n `record` if given."""
+def _states(params: IfoParams, records: list[AvalancheRecord]):
+    """Yield the settled phases after every step of {drift by dt,
+    resolve avalanche}, without end: one array, updated in place,
+    appending each avalanche to `records`."""
     theta = _initial_phases(params)
     kick_setup = _kick_setup(params)
     time = 0.0
-    for start in range(0, n_steps, _BLOCK_ROWS):
-        b = min(_BLOCK_ROWS, n_steps - start)
-        rows = np.empty((b, theta.size)) if record is None else record[start:start + b]
-        for row in rows:
-            theta += params.dt
-            time += params.dt
-            rec = _resolve_inplace(theta, params, *kick_setup, time)
-            if rec is not None:
-                records.append(rec)
-            row[:] = theta
-        yield rows
+    while True:
+        theta += params.dt
+        time += params.dt
+        rec = _resolve_inplace(theta, params, *kick_setup, time)
+        if rec is not None:
+            records.append(rec)
+        yield theta
 
 
 def synchronization_onset(records: list[AvalancheRecord], n_nodes: int) -> float | None:

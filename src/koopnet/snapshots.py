@@ -22,6 +22,20 @@ def _check_steps(name: str, n_steps: int) -> None:
         raise ConfigError(f"{name} must be >= 2, got {n_steps}")
 
 
+def _rows(states, count: int, n: int) -> np.ndarray:
+    """The next `count` states (length-n arrays) of the iterator `states`
+    as the rows of a new count x n array. It pulls exactly `count`
+    states; count = -1 would drain `states`, so callers check it first."""
+    return np.fromiter(states, np.dtype((float, (n,))), count=count)
+
+
+def _blocks(states, n_steps: int, n_nodes: int):
+    """Yield the first `n_steps` states of `states` as new arrays of up
+    to `_BLOCK_ROWS` rows each, as the pipeline streams a record."""
+    for start in range(0, n_steps, _BLOCK_ROWS):
+        yield _rows(states, min(_BLOCK_ROWS, n_steps - start), n_nodes)
+
+
 def default_labels(n_nodes: int) -> list[str]:
     return [f"n{i}" for i in range(n_nodes)]
 

@@ -135,6 +135,8 @@ class TestSimulate:
             BsParams(n=5, seed=-1)
         with pytest.raises(ConfigError):
             simulate_bs(BsParams(n=5), 0)
+        with pytest.raises(ConfigError, match="n_iterations must be >= 2, got -1"):
+            simulate_bs(BsParams(n=5), -1)
         with pytest.raises(ConfigError, match="n_iterations must be >= 2, got 1"):
             simulate_bs(BsParams(n=5), 1)
 

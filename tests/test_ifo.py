@@ -374,12 +374,7 @@ class TestPerFiringReference:
 
     @staticmethod
     def assert_same(params, theta):
-        try:
-            want, ref = reference_resolve(theta, params)
-        except KoopnetError:
-            with pytest.raises(KoopnetError, match="did not terminate"):
-                resolve(theta, params)
-            return
+        want, ref = reference_resolve(theta, params)
         out, rec = resolve(theta, params)
         assert out.tobytes() == want.tobytes()
         assert (rec is None) == (ref is None)
@@ -437,19 +432,6 @@ class TestPerFiringReference:
         p = IfoParams(gamma=GAMMA, epsilon=0.145, rows=64, cols=64)
         rec = self.assert_same(p, np.ones(p.n_nodes))
         assert rec.size == p.n_nodes
-
-    def test_non_terminating_coupling_raises(self):
-        # IfoParams rejects this epsilon (see
-        # test_config_rejects_coupling_that_rounds_to_the_threshold); set
-        # past that check, the per-firing loop fires forever and the
-        # kernel refuses to start
-        eps = 0.24999999999999997
-        p = IfoParams(gamma=9.0, epsilon=np.nextafter(eps, 0.0), rows=3, cols=3,
-                      boundary="periodic")
-        object.__setattr__(p, "epsilon", eps)
-        with pytest.raises(KoopnetError, match="did not terminate"):
-            reference_resolve(np.ones(9), p)
-        self.assert_same(p, np.ones(9))
 
     def test_simulate_matches_reference(self):
         p = IfoParams(gamma=GAMMA, epsilon=0.145, rows=12, cols=12, seed=4)
@@ -649,7 +631,7 @@ class TestSimulate:
         snaps, records = simulate_ifo(p, 200)
         assert records and np.all(snaps.data < 1.0)
 
-    @pytest.mark.parametrize("n_steps", [0, 1])
+    @pytest.mark.parametrize("n_steps", [-1, 0, 1])
     def test_rejects_fewer_than_two_steps(self, n_steps):
         # one snapshot has no successor to pair with
         params = IfoParams(gamma=2.0, epsilon=0.145, rows=2, cols=2)

@@ -559,12 +559,29 @@ class TestCli:
         assert f"koopnet: error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("window_args", [
+        ["--window", "200"], ["--window", "100", "--stride", "250"],
+    ], ids=["one-window", "one-window-stride"])
+    def test_analyze_with_one_window_makes_no_output_dir(self, tmp_path, capsys, window_args):
+        # analyze learns the record length only by reading it, so it
+        # counts the windows then, but before the output directory is made
+        assert main(["simulate", "--model", "bs", "--n", "10", "--steps", "300",
+                     "--out", str(tmp_path)]) == 0
+        out = tmp_path / "new"
+        status = main(["analyze", str(tmp_path / "snapshots.csv"), *window_args,
+                       "--out", str(out)])
+        assert status == 1
+        assert "koopnet: error: need >= 2 windows, got 1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, steps", [
         ("simulate", "0"), ("pipeline", "0"), ("simulate", "1"), ("pipeline", "1"),
-    ], ids=["simulate", "pipeline", "simulate-1", "pipeline-1"])
+        ("simulate", "-1"), ("pipeline", "-1"),
+    ], ids=["simulate", "pipeline", "simulate-1", "pipeline-1", "simulate-neg", "pipeline-neg"])
     def test_zero_steps_exits_one_before_making_the_output_dir(self, tmp_path, capsys, command,
                                                                steps):
-        # a record of one snapshot has no pair for DMD to fit
+        # a record of one snapshot has no pair for DMD to fit; -1 steps
+        # would have the simulator's endless states drained
         out = tmp_path / "d"
         status = main([command, "--model", "bs", "--n", "10", "--steps", steps, "--out", str(out)])
         assert status == 1

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koopnet import BsParams, ConfigError, IfoParams, SnapshotMatrix, simulate_bs, simulate_ifo
-from koopnet import bak_sneppen, ifo
+from koopnet import bak_sneppen, ifo, snapshots
 from koopnet.analysis import _stream_windows, windowed_dmd
 from koopnet.cli import main
 
@@ -105,17 +105,42 @@ class TestStreamedWindows:
             windowed_dmd(snaps, 51)
 
 
+def counted(states, pulled):
+    """`states`, adding 1 to pulled[0] for every state taken."""
+    for state in states:
+        pulled[0] += 1
+        yield state
+
+
+def simulated(model, simulate, params, steps):
+    """simulate(params, steps), checking that it pulls `steps` states."""
+    states, pulled = model._states, [0]
+    with mock.patch.object(model, "_states", lambda *a: counted(states(*a), pulled)):
+        out = simulate(params, steps)
+    assert pulled == [steps]
+    return out
+
+
+def streamed(model, params, steps, block_rows, n_nodes):
+    """The pipeline's blocks of `block_rows` rows and the events, checking
+    that the stream pulls `steps` states."""
+    events, pulled = [], [0]
+    with mock.patch.object(snapshots, "_BLOCK_ROWS", block_rows):
+        states = counted(model._states(params, events), pulled)
+        blocks = list(snapshots._blocks(states, steps, n_nodes))
+    assert pulled == [steps]
+    assert [b.shape[0] for b in blocks[:-1]] == [block_rows] * (len(blocks) - 1)
+    return blocks, events
+
+
 class TestSimulatorBlocks:
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(3, 12), steps=st.integers(2, 300), block_rows=st.integers(1, 80),
            seed=st.integers(0, 2**32))
     def test_bs_blocks_make_the_record(self, n, steps, block_rows, seed):
         params = BsParams(n=n, seed=seed)
-        snaps, min_history = simulate_bs(params, steps)
-        events = []
-        with mock.patch.object(bak_sneppen, "_BLOCK_ROWS", block_rows):
-            blocks = list(bak_sneppen._blocks(params, steps, events))
-        assert [b.shape[0] for b in blocks[:-1]] == [block_rows] * (len(blocks) - 1)
+        snaps, min_history = simulated(bak_sneppen, simulate_bs, params, steps)
+        blocks, events = streamed(bak_sneppen, params, steps, block_rows, n)
         assert np.concatenate(blocks).tobytes() == snaps.data.tobytes()
         assert events == min_history
 
@@ -125,20 +150,18 @@ class TestSimulatorBlocks:
     def test_ifo_blocks_make_the_record(self, side, steps, block_rows, seed, periodic):
         params = IfoParams(gamma=2.0, epsilon=0.145, rows=side, cols=side + 1, seed=seed,
                            boundary="periodic" if periodic else "open")
-        snaps, records = simulate_ifo(params, steps)
-        events = []
-        with mock.patch.object(ifo, "_BLOCK_ROWS", block_rows):
-            blocks = list(ifo._blocks(params, steps, events))
-        assert [b.shape[0] for b in blocks[:-1]] == [block_rows] * (len(blocks) - 1)
+        snaps, records = simulated(ifo, simulate_ifo, params, steps)
+        blocks, events = streamed(ifo, params, steps, block_rows, params.n_nodes)
         assert np.concatenate(blocks).tobytes() == snaps.data.tobytes()
         assert [(r.start_time, r.size, r.participants) for r in events] == \
             [(r.start_time, r.size, r.participants) for r in records]
 
     def test_blocks_are_fresh_arrays(self):
-        # the streamed windows keep earlier blocks: no block may reuse another's memory
-        blocks = list(bak_sneppen._blocks(BsParams(n=5), 200, []))
+        # the streamed windows keep earlier blocks: no block may reuse
+        # another's memory, though each model yields one array throughout
+        blocks = list(snapshots._blocks(bak_sneppen._states(BsParams(n=5), []), 200, 5))
         params = IfoParams(gamma=2.0, epsilon=0.145, rows=2, cols=2)
-        blocks += list(ifo._blocks(params, 200, []))
+        blocks += list(snapshots._blocks(ifo._states(params, []), 200, 4))
         assert len(blocks) == 8
         assert not any(np.shares_memory(a, b)
                        for i, a in enumerate(blocks) for b in blocks[i + 1:])
