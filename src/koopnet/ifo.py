@@ -10,7 +10,7 @@ not advance while one is being processed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,12 +76,13 @@ class IfoParams:
 class AvalancheRecord:
     """One resolved avalanche: the simulation time it started at (an
     avalanche takes no time), how many firings occurred and which nodes
-    fired. No node fires twice in one avalanche (see
-    :func:`_resolve_inplace`), so size == len(participants)."""
+    fired, as a 1-D intp array of their indices in ascending order. No
+    node fires twice in one avalanche (see :func:`_resolve_inplace`), so
+    size == participants.size."""
 
     start_time: float
     size: int
-    participants: set[int] = field(default_factory=set)
+    participants: np.ndarray
 
 
 # a threshold count no kick count reaches: fired nodes and the sentinel
@@ -245,10 +246,7 @@ def _resolve_inplace(theta: np.ndarray, params: IfoParams, table: np.ndarray,
     if firing.size == 0:
         return None
     fired = _settle(theta, firing, params, table, bins, zero)
-    # made once _settle's work arrays are freed, the set, which the
-    # record keeps, can reuse their heap space rather than pin the heap's
-    # top above them (0.3 MB of peak RSS on the 64x64 lattice)
-    return AvalancheRecord(start_time=time, size=fired.size, participants=set(fired.tolist()))
+    return AvalancheRecord(start_time=time, size=fired.size, participants=np.sort(fired))
 
 
 def _settle(theta: np.ndarray, firing: np.ndarray, params: IfoParams, table: np.ndarray,

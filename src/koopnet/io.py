@@ -151,11 +151,12 @@ def read_snapshots(path: Path) -> tuple[list[str], Iterable[np.ndarray]]:
 
 
 def write_ifo_events(path: Path, records: list[AvalancheRecord]) -> None:
-    rows = [
-        (float(r.start_time), r.size, ";".join(map(str, sorted(r.participants))))
-        for r in records
-    ]
-    write_csv(path, ["start_time", "size", "participants"], rows)
+    """One row per avalanche: its start time, its size and its
+    participants in ascending order, joined by ';'. The rows are made as
+    `write_csv` pulls them."""
+    write_csv(path, ["start_time", "size", "participants"],
+              ((float(r.start_time), r.size, ";".join(map(str, r.participants.tolist())))
+               for r in records))
 
 
 def write_bs_events(path: Path, min_history: list[int]) -> None:

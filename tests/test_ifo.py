@@ -5,6 +5,8 @@ oracles (RK4 integration of the energy ODE, manual sweep resolution on
 tiny chains) before being compared to the implementation.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -32,6 +34,15 @@ def resolve(theta, params):
     returns the settled phases and the record (None if nothing fired)."""
     theta = np.array(theta, dtype=float)
     return theta, _resolve_inplace(theta, params, *_kick_setup(params), 0.0)
+
+
+def participants(rec):
+    """The record's participants as a list, once they are a 1-D intp
+    array of rec.size node indices, strictly increasing."""
+    fired = rec.participants
+    assert fired.dtype == np.intp and fired.shape == (rec.size,)
+    assert np.all(np.diff(fired) > 0)
+    return fired.tolist()
 
 
 def rk4_energy(theta, gamma, n_sub=20000):
@@ -308,7 +319,7 @@ class TestResolveAvalanche:
         energies = energy_of_phase(out, GAMMA)
         assert np.allclose(energies, [0.0, 0.645, 0.2], atol=1e-12)
         assert rec.size == 1
-        assert rec.participants == {0}
+        assert participants(rec) == [0]
 
     def test_cascade_on_pair(self):
         # E = [1.0, 0.9]: node 0 fires, kicks node 1 to the threshold
@@ -319,7 +330,7 @@ class TestResolveAvalanche:
         energies = energy_of_phase(out, GAMMA)
         assert np.allclose(energies, [0.145, 0.0], atol=1e-12)
         assert rec.size == 2
-        assert rec.participants == {0, 1}
+        assert participants(rec) == [0, 1]
 
     def test_kick_past_threshold_stays_finite(self):
         # node 0 fires and kicks node 1 from E ~ 0.88 to ~ 1.17; the kick
@@ -328,7 +339,7 @@ class TestResolveAvalanche:
         out, rec = resolve([1.0, 0.72], p)
         assert np.all(np.isfinite(out))
         assert np.all((out >= 0.0) & (out < 1.0))
-        assert rec.participants == {0, 1}
+        assert participants(rec) == [0, 1]
 
     def test_kick_uses_the_energy_map(self):
         # node 0 fires and kicks node 1 from phase t: the new phase is
@@ -366,7 +377,7 @@ class TestResolveAvalanche:
             out, rec = resolve(theta, p)
             assert rec is not None
             assert np.all(out < 1.0)
-            assert rec.size == len(rec.participants) <= 9
+            assert rec.size == len(participants(rec)) <= 9
 
 
 class TestPerFiringReference:
@@ -379,7 +390,7 @@ class TestPerFiringReference:
         assert out.tobytes() == want.tobytes()
         assert (rec is None) == (ref is None)
         if rec is not None:
-            assert (rec.size, rec.participants) == (ref.size, ref.participants)
+            assert (rec.size, participants(rec)) == (ref.size, sorted(ref.participants))
             # the kernel relies on no node firing twice in one avalanche
             assert rec.size == len(rec.participants)
         return rec
@@ -447,8 +458,8 @@ class TestPerFiringReference:
                 ref_records.append(rec)
             want[step] = theta
         assert snaps.data.tobytes() == want.tobytes()
-        assert [(r.start_time, r.size, r.participants) for r in records] == \
-            [(r.start_time, r.size, r.participants) for r in ref_records]
+        assert [(r.start_time, r.size, participants(r)) for r in records] == \
+            [(r.start_time, r.size, sorted(r.participants)) for r in ref_records]
         assert max(r.size for r in records) == p.n_nodes  # a many-sweep avalanche
 
 
@@ -561,7 +572,7 @@ class TestKickThresholds:
             out, cascades[:] = theta.copy(), []
             rec = _resolve_inplace(out, p, table, wrong, zero, 0.0)
             assert out.tobytes() == want.tobytes()
-            assert (rec.size, rec.participants) == (ref.size, ref.participants)
+            assert (rec.size, participants(rec)) == (ref.size, sorted(ref.participants))
             assert len(cascades) == 1 + misjudges(wrong)
 
     @pytest.mark.parametrize("kw, n_steps", [
@@ -631,6 +642,28 @@ class TestSimulate:
         snaps, records = simulate_ifo(p, 200)
         assert records and np.all(snaps.data < 1.0)
 
+    def test_records_keep_one_index_per_firing(self):
+        # 1,000 steps of the 64x64 lattice fire 81,579 times in 376
+        # avalanches. An index array keeps 8 B per firing plus a few
+        # hundred bytes per record (the record, its array header, its
+        # start time), about 9 B per firing in all. A set of ints keeps a
+        # 16 B entry per member in a table at most 60% full, over 26 B,
+        # and a 28 B int object per index above 256: records holding
+        # sets kept 87 B per firing. 16 B leaves the arrays room for
+        # 8 B per firing of per-record overhead and no set fits under it
+        p =IfoParams(gamma=GAMMA, epsilon=0.145, rows=64, cols=64, seed=3)
+        tracemalloc.start()
+        try:
+            records = simulate_ifo(p, 1000)[1]
+            firings = sum(r.size for r in records)
+            kept = tracemalloc.get_traced_memory()[0]
+            del records
+            kept -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert firings > 50_000
+        assert kept < 16 * firings
+
     @pytest.mark.parametrize("n_steps", [-1, 0, 1])
     def test_rejects_fewer_than_two_steps(self, n_steps):
         # one snapshot has no successor to pair with
@@ -665,18 +698,18 @@ class TestFullSyncOrbit:
 class TestSynchronizationOnset:
     def test_detects_locked_tail(self):
         records = [
-            AvalancheRecord(start_time=1.0, size=3, participants={0, 1, 2}),
-            AvalancheRecord(start_time=2.0, size=4, participants={0, 1, 2, 3}),
-            AvalancheRecord(start_time=3.0, size=4, participants={0, 1, 2, 3}),
-            AvalancheRecord(start_time=4.0, size=4, participants={0, 1, 2, 3}),
+            AvalancheRecord(start_time=1.0, size=3, participants=np.arange(3)),
+            AvalancheRecord(start_time=2.0, size=4, participants=np.arange(4)),
+            AvalancheRecord(start_time=3.0, size=4, participants=np.arange(4)),
+            AvalancheRecord(start_time=4.0, size=4, participants=np.arange(4)),
         ]
         assert synchronization_onset(records, 4) == pytest.approx(2.0)
 
     def test_none_when_never_locked(self):
         records = [
-            AvalancheRecord(start_time=1.0, size=4, participants=set(range(4))),
-            AvalancheRecord(start_time=2.0, size=2, participants={0, 1}),
-            AvalancheRecord(start_time=3.0, size=4, participants=set(range(4))),
+            AvalancheRecord(start_time=1.0, size=4, participants=np.arange(4)),
+            AvalancheRecord(start_time=2.0, size=2, participants=np.arange(2)),
+            AvalancheRecord(start_time=3.0, size=4, participants=np.arange(4)),
         ]
         assert synchronization_onset(records, 4) is None
 
@@ -686,7 +719,8 @@ class TestSynchronizationOnset:
         # the second event does not lock
         s = 0.6e-9
         times = np.cumsum([10.0, 1.0 + s, 1.0, 1.0 + 2 * s])
-        records = [AvalancheRecord(start_time=t, size=4) for t in times]
+        records = [AvalancheRecord(start_time=t, size=4, participants=np.arange(4))
+                   for t in times]
         assert reference_onset(records, 4) == times[0]
         assert reference_onset(records[1:], 4) is None
         assert synchronization_onset(records, 4) == times[0]
@@ -702,6 +736,6 @@ class TestSynchronizationOnset:
         t = data.draw(st.floats(0.0, 50.0))
         records = []
         for size, g in events:
-            records.append(AvalancheRecord(start_time=t, size=size))
+            records.append(AvalancheRecord(start_time=t, size=size, participants=np.arange(size)))
             t += g
         assert synchronization_onset(records, 4) == reference_onset(records, 4)

@@ -202,7 +202,7 @@ class TestMetaAndEvents:
 
     def test_ifo_events_format(self, tmp_path):
         path = tmp_path / "events.csv"
-        records = [AvalancheRecord(start_time=1.5, size=3, participants={4, 1, 2})]
+        records = [AvalancheRecord(start_time=1.5, size=3, participants=np.array([1, 2, 4]))]
         write_ifo_events(path, records)
         lines = path.read_text().splitlines()
         assert lines[0] == "start_time,size,participants"

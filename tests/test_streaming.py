@@ -153,8 +153,11 @@ class TestSimulatorBlocks:
         snaps, records = simulated(ifo, simulate_ifo, params, steps)
         blocks, events = streamed(ifo, params, steps, block_rows, params.n_nodes)
         assert np.concatenate(blocks).tobytes() == snaps.data.tobytes()
-        assert [(r.start_time, r.size, r.participants) for r in events] == \
-            [(r.start_time, r.size, r.participants) for r in records]
+        assert [(r.start_time, r.size, r.participants.tolist()) for r in events] == \
+            [(r.start_time, r.size, r.participants.tolist()) for r in records]
+        for r in records:
+            assert r.participants.dtype == np.intp and r.participants.shape == (r.size,)
+            assert np.all(np.diff(r.participants) > 0)
 
     def test_blocks_are_fresh_arrays(self):
         # the streamed windows keep earlier blocks: no block may reuse
