@@ -8,12 +8,9 @@ refactor changed any artifact byte:
     python3 scripts/artifact_digest.py > golden.txt          # before
     python3 scripts/artifact_digest.py --compare golden.txt  # after
 
-The first line is a ``#`` comment naming what the bits depend on besides
-the source: the numpy version, the CPU count and the BLAS thread
-variables. With ``OPENBLAS_NUM_THREADS=1`` the bits of the DMD's Gram
-product and its eigh differ from a two-thread run, and 26 of the 570
-files with them, so both sides of a comparison must run in the same
-environment.
+The first line is a ``#`` comment naming the environment the bits were
+made in: the numpy version, the CPU count and the BLAS thread
+variables.
 
 ``--compare`` prints every file whose digest differs, is missing or is
 new, and exits 1 if there is any; it warns on stderr when the golden

@@ -10,10 +10,26 @@ in it) are first folded, exactly, into one row, so the Gram matrix is
 only as large as the varying rows. The resulting eigenvalues/modes/
 amplitudes approximate the spectrum of the underlying evolution operator
 acting on the identity observable.
+
+Every decomposition runs on one OpenBLAS thread (_one_blas_thread).
+The last bits of a Gram product or an eigh depend on how many threads
+OpenBLAS splits it over, so the spectra, and the artifacts built from
+them, would otherwise depend on OPENBLAS_NUM_THREADS. The pin sets the
+count through ctypes on the scipy-openblas library that numpy's Linux
+and Windows wheels bundle in numpy.libs. With any other BLAS (a macOS
+wheel's, a system one) it logs one warning and leaves the count alone.
+The count is process-wide: dmd() calls running at once in several
+Python threads share it, and one call's restore can end another's pin
+early.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import numbers
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +90,53 @@ def _zero_tolerance(lambdas: np.ndarray) -> float:
     this bound that error would exceed sqrt(eps)."""
     scale = np.max(np.abs(lambdas)) if lambdas.size else 0.0
     return np.sqrt(np.finfo(float).eps) * max(1.0, scale)
+
+
+# numpy's wheels for Linux and Windows bundle OpenBLAS (scipy-openblas)
+# here, beside the numpy package
+_BLAS_DIR = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+
+
+@functools.cache
+def _blas_threads():
+    """(get, set) thread-count functions of the OpenBLAS numpy has
+    loaded, or None, with one logged warning, if _BLAS_DIR holds none."""
+    try:
+        names = os.listdir(_BLAS_DIR)
+    except OSError:
+        names = []
+    for name in names:
+        if name.startswith("libscipy_openblas"):
+            # the path numpy loaded it from: CDLL returns that same copy
+            lib = ctypes.CDLL(os.path.join(_BLAS_DIR, name))
+            try:
+                return (lib.scipy_openblas_get_num_threads64_,
+                        lib.scipy_openblas_set_num_threads64_)
+            except AttributeError:
+                pass
+    # imported here, not at the top: importing logging leaves 0.18 MB
+    # resident, and builds that have the pin never log
+    import logging
+    logging.getLogger(__name__).warning(
+        "numpy's BLAS is not a bundled scipy-openblas; DMD runs with the BLAS "
+        "thread count as it is, so its last bits may depend on it")
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body on one OpenBLAS thread and restore the count after."""
+    threads = _blas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
 
 
 def _check_rank(rank: int | None) -> None:
@@ -185,6 +248,12 @@ def dmd(x: np.ndarray, xp: np.ndarray, rank: int | None = None, dt: float = 1.0)
     snapshot in the least-squares sense. Output is sorted by descending
     |b_k|. Non-finite x or xp raise DomainError, and a window with no
     snapshot pairs raises DegenerateDataError.
+
+    The decomposition runs on one OpenBLAS thread, so its bits do not
+    depend on OPENBLAS_NUM_THREADS, and the previous count is restored
+    afterwards, also when it raises. This holds on numpy's bundled
+    scipy-openblas only, and concurrent calls share the process-wide
+    count (see the module docstring).
     """
     x = np.asarray(x, dtype=float)
     xp = np.asarray(xp, dtype=float)
@@ -200,21 +269,22 @@ def dmd(x: np.ndarray, xp: np.ndarray, rank: int | None = None, dt: float = 1.0)
     if x.shape[1] == 0:
         raise DegenerateDataError("no snapshot pairs in the window")
 
-    u_r, s, v_r = _basis(x, rank)
-    r = u_r.shape[1]
-    b_mat = (xp @ v_r) / s[:r]                    # Xp V S^-1
-    a_tilde = u_r.conj().T @ b_mat
-    lambdas, w = np.linalg.eig(a_tilde)
-    lambdas = lambdas.astype(complex)   # eig returns float when all real
-    w = w.astype(complex)
+    with _one_blas_thread():
+        u_r, s, v_r = _basis(x, rank)
+        r = u_r.shape[1]
+        b_mat = (xp @ v_r) / s[:r]                # Xp V S^-1
+        a_tilde = u_r.conj().T @ b_mat
+        lambdas, w = np.linalg.eig(a_tilde)
+        lambdas = lambdas.astype(complex)   # eig returns float when all real
+        w = w.astype(complex)
 
-    zero_flags = np.abs(lambdas) <= _zero_tolerance(lambdas)
-    modes = b_mat @ (w / np.where(zero_flags, 1.0, lambdas))
-    modes[:, zero_flags] = u_r @ w[:, zero_flags]
-    norms = np.linalg.norm(modes, axis=0)
-    modes /= np.where(norms > 0, norms, 1.0)
+        zero_flags = np.abs(lambdas) <= _zero_tolerance(lambdas)
+        modes = b_mat @ (w / np.where(zero_flags, 1.0, lambdas))
+        modes[:, zero_flags] = u_r @ w[:, zero_flags]
+        norms = np.linalg.norm(modes, axis=0)
+        modes /= np.where(norms > 0, norms, 1.0)
 
-    amplitudes, *_ = np.linalg.lstsq(modes, x[:, 0].astype(complex), rcond=None)
+        amplitudes, *_ = np.linalg.lstsq(modes, x[:, 0].astype(complex), rcond=None)
 
     order = np.argsort(-np.abs(amplitudes), kind="stable")
     lambdas = lambdas[order]
@@ -249,8 +319,17 @@ def _log_map(lambdas: np.ndarray, zero: np.ndarray, dt: float) -> np.ndarray:
 
 def reconstruct(result: DmdResult, k: int) -> np.ndarray:
     """DMD-predicted snapshot at step index k (real part of the mode
-    expansion sum_j b_j lambda_j^k v_j)."""
+    expansion sum_j b_j lambda_j^k v_j). A k that is not an integral
+    number raises ConfigError, a negative one DomainError, and so does a
+    lambda^k or prediction that is not finite, as for |lambda| > 1 at
+    large k."""
+    if not (isinstance(k, numbers.Integral) or float(k).is_integer()):
+        raise ConfigError(f"step index must be an integer, got {k}")
     if k < 0:
         raise DomainError(f"step index must be >= 0, got {k}")
-    weights = result.amplitudes * result.eigenvalues_discrete ** k
-    return np.real(result.modes @ weights)
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = result.eigenvalues_discrete ** int(k)
+        prediction = np.real(result.modes @ (result.amplitudes * powers))
+    if not (np.all(np.isfinite(powers)) and np.all(np.isfinite(prediction))):
+        raise DomainError(f"the DMD prediction at step {k} is not finite")
+    return prediction

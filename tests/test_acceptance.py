@@ -7,11 +7,16 @@ meet under the pinned parameters; they are kept verbatim and expected
 to fail rather than being weakened (details in their docstrings).
 """
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import koopnet
 from koopnet import (
     BsParams,
     IfoParams,
@@ -362,3 +367,29 @@ def test_criterion_9_byte_determinism(tmp_path):
             identical = False
     assert report(9, identical, "repeated ifo and bs pipeline runs produced "
                                 "byte-identical artifact sets")
+
+
+# the variables OpenBLAS reads its thread count from
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def test_criterion_9_across_blas_thread_counts(tmp_path):
+    """A pipeline run with OpenBLAS's default thread count and one with
+    OPENBLAS_NUM_THREADS=1 write byte-identical artifacts: dmd() runs on
+    one thread either way. Each run is a fresh process, since OpenBLAS
+    reads the variable when it is loaded."""
+    src = str(Path(koopnet.__file__).resolve().parent.parent)
+    default = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    default["PYTHONPATH"] = os.pathsep.join(filter(None, [src, default.get("PYTHONPATH")]))
+    runs = {}
+    for name, env in (("default", default), ("one", dict(default, OPENBLAS_NUM_THREADS="1"))):
+        out = tmp_path / name
+        subprocess.run([sys.executable, "-m", "koopnet.cli", "pipeline", "--model", "bs",
+                        "--n", "200", "--steps", "1000", "--seed", "1", "--stride", "50",
+                        "--out", str(out)], env=env, check=True, capture_output=True)
+        runs[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    differing = sorted(k for k in runs["default"] if runs["default"][k] != runs["one"].get(k))
+    ok = runs["default"].keys() == runs["one"].keys() and not differing
+    assert report(9, ok, f"{len(runs['default'])} artifacts byte-identical under the default "
+                         f"BLAS threads and OPENBLAS_NUM_THREADS=1" if ok
+                  else f"differing artifacts: {differing}")

@@ -1,5 +1,7 @@
 """Exact DMD tests against analytically known linear systems."""
 
+import importlib
+import logging
 import warnings
 
 import numpy as np
@@ -17,8 +19,11 @@ from koopnet import (
     dmd_of_snapshots,
     reconstruct,
 )
-from koopnet.dmd import _basis, _kernel, _log_map
+from koopnet.dmd import _basis, _blas_threads, _kernel, _log_map, _one_blas_thread
 from systems import random_system, rotation, sorted_eigs
+
+# the module, not the function koopnet exports under the same name
+dmd_module = importlib.import_module("koopnet.dmd")
 
 
 def linear_data(m, x0, n_steps):
@@ -84,21 +89,23 @@ def prescribed_window(rng, n, m, singular_values):
 
 def svd_dmd(x, xp, rank):
     """Exact DMD from the SVD of x, operation for operation as dmd()'s
-    SVD fallback: (eigenvalues, modes, amplitudes, singular values)."""
-    u, s, vh = np.linalg.svd(x, full_matrices=False)
-    r = int(np.count_nonzero(s > s[0] * max(x.shape) * np.finfo(float).eps))
-    r = r if rank is None else min(rank, r)
-    u_r, v_r = u[:, :r], vh[:r].conj().T
-    b_mat = (xp @ v_r) / s[:r]
-    lambdas, w = np.linalg.eig(u_r.conj().T @ b_mat)
-    lambdas, w = lambdas.astype(complex), w.astype(complex)
-    zero = np.abs(lambdas) <= np.sqrt(np.finfo(float).eps) * max(1.0, np.max(np.abs(lambdas)))
-    modes = b_mat @ (w / np.where(zero, 1.0, lambdas))
-    modes[:, zero] = u_r @ w[:, zero]
-    norms = np.linalg.norm(modes, axis=0)
-    modes /= np.where(norms > 0, norms, 1.0)
-    amps = np.linalg.lstsq(modes, x[:, 0].astype(complex), rcond=None)[0]
-    order = np.argsort(-np.abs(amps), kind="stable")
+    SVD fallback, on one OpenBLAS thread as dmd() runs: (eigenvalues,
+    modes, amplitudes, singular values)."""
+    with _one_blas_thread():
+        u, s, vh = np.linalg.svd(x, full_matrices=False)
+        r = int(np.count_nonzero(s > s[0] * max(x.shape) * np.finfo(float).eps))
+        r = r if rank is None else min(rank, r)
+        u_r, v_r = u[:, :r], vh[:r].conj().T
+        b_mat = (xp @ v_r) / s[:r]
+        lambdas, w = np.linalg.eig(u_r.conj().T @ b_mat)
+        lambdas, w = lambdas.astype(complex), w.astype(complex)
+        zero = np.abs(lambdas) <= np.sqrt(np.finfo(float).eps) * max(1.0, np.max(np.abs(lambdas)))
+        modes = b_mat @ (w / np.where(zero, 1.0, lambdas))
+        modes[:, zero] = u_r @ w[:, zero]
+        norms = np.linalg.norm(modes, axis=0)
+        modes /= np.where(norms > 0, norms, 1.0)
+        amps = np.linalg.lstsq(modes, x[:, 0].astype(complex), rcond=None)[0]
+        order = np.argsort(-np.abs(amps), kind="stable")
     return lambdas[order], modes[:, order], amps[order], s
 
 
@@ -155,6 +162,58 @@ class TestGramKernel:
             result, used_svd = self.decompose(monkeypatch, scale * x, scale * xp, None)
         assert used_svd
         assert np.max(np.abs(sorted_eigs(result.eigenvalues_discrete) - expect)) <= 1e-12
+
+
+class TestOneBlasThread:
+    """dmd() runs on one OpenBLAS thread and gives the count back."""
+
+    @pytest.fixture
+    def threads(self):
+        """numpy's OpenBLAS thread count getter, with the count set to 2
+        for the test (so the pin is seen whatever the environment says)
+        and restored after it."""
+        get, set_ = _blas_threads()
+        before = get()
+        set_(2)
+        yield get
+        set_(before)
+
+    def test_finds_numpy_openblas(self):
+        # else the pin would silently do nothing on this build
+        assert _blas_threads() is not None
+
+    def test_decomposes_on_one_thread(self, monkeypatch, threads):
+        seen = []
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda a: seen.append(threads()) or eig(a))
+        x, xp = prescribed_window(np.random.default_rng(0), 40, 99, np.geomspace(1.0, 0.1, 40))
+        dmd(x, xp)
+        assert seen == [1]
+        assert threads() == 2
+
+    def test_restores_the_count_after_an_error(self, monkeypatch, threads):
+        # an all-zero window raises inside the pinned body, in the SVD fallback
+        seen = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *a, **k: seen.append(threads()) or svd(*a, **k))
+        with pytest.raises(DegenerateDataError):
+            dmd(np.zeros((40, 99)), np.zeros((40, 99)))
+        assert seen == [1]
+        assert threads() == 2
+
+    def test_without_openblas_runs_and_warns_once(self, monkeypatch, caplog, tmp_path):
+        monkeypatch.setattr(dmd_module, "_BLAS_DIR", str(tmp_path))
+        _blas_threads.cache_clear()
+        x, xp = prescribed_window(np.random.default_rng(1), 40, 99, np.geomspace(1.0, 0.1, 40))
+        try:
+            with caplog.at_level(logging.WARNING, logger="koopnet.dmd"):
+                results = [dmd(x, xp) for _ in range(2)]
+        finally:
+            _blas_threads.cache_clear()     # the next call looks again
+        assert all(r.rank == 40 for r in results)
+        warned = [r for r in caplog.records if r.name == "koopnet.dmd"]
+        assert len(warned) == 1 and warned[0].levelno == logging.WARNING
 
 
 def window_with_constant_rows(rng, n, m, varying, singular_values, value=None):
@@ -490,3 +549,28 @@ class TestReconstruct:
         result = dmd_of_snapshots(SnapshotMatrix(data=data))
         with pytest.raises(DomainError):
             reconstruct(result, -1)
+
+    @staticmethod
+    def growing():
+        # eigenvalues 1.2 and 0.5
+        data = np.array([[1.2 ** k, 0.5 ** k] for k in range(30)])
+        return data, dmd_of_snapshots(SnapshotMatrix(data=data))
+
+    def test_rejects_a_prediction_that_overflows(self):
+        data, result = self.growing()
+        assert np.allclose(reconstruct(result, 25), data[25], rtol=1e-9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="not finite"):
+                reconstruct(result, 10_000)
+
+    @pytest.mark.parametrize("k", [2.5, 1e-3, np.nan, np.inf])
+    def test_rejects_a_fractional_step(self, k):
+        _, result = self.growing()
+        with pytest.raises(ConfigError, match="must be an integer"):
+            reconstruct(result, k)
+
+    @pytest.mark.parametrize("k", [3.0, np.int64(3), np.float64(3.0)])
+    def test_accepts_an_integral_step_of_any_type(self, k):
+        _, result = self.growing()
+        assert np.array_equal(reconstruct(result, k), reconstruct(result, 3))
