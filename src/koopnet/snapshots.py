@@ -36,6 +36,12 @@ def _blocks(states, n_steps: int, n_nodes: int):
         yield _rows(states, min(_BLOCK_ROWS, n_steps - start), n_nodes)
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """np.all(np.isfinite(a)) for a non-empty a, with no temporary of
+    a's size: NaN and inf show in its max or min."""
+    return bool(np.isfinite(a.max()) and np.isfinite(a.min()))
+
+
 def default_labels(n_nodes: int) -> list[str]:
     return [f"n{i}" for i in range(n_nodes)]
 
@@ -59,7 +65,7 @@ class SnapshotMatrix:
             raise ConfigError(f"need at least 2 snapshots, got {t}")
         if n < 1:
             raise ConfigError("need at least 1 node column")
-        if not np.all(np.isfinite(self.data)):
+        if not _all_finite(self.data):
             raise ConfigError("snapshot data contains non-finite entries")
         if not 0 < self.dt < np.inf:
             raise ConfigError(f"dt must be finite and > 0, got {self.dt}")

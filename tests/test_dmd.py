@@ -2,24 +2,31 @@
 
 import importlib
 import logging
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import koopnet
 from koopnet import (
     ConfigError,
     DegenerateDataError,
     DomainError,
+    IfoParams,
     SnapshotMatrix,
     build_snapshot_pairs,
     dmd,
     dmd_of_snapshots,
     reconstruct,
+    simulate_ifo,
 )
-from koopnet.dmd import _basis, _blas_threads, _kernel, _log_map, _one_blas_thread
+from koopnet.dmd import _basis, _kernel, _log_map, _one_blas_thread, _openblas, _svd
 from systems import random_system, rotation, sorted_eigs
 
 # the module, not the function koopnet exports under the same name
@@ -66,6 +73,22 @@ def test_rejects_non_finite_snapshots(value, which):
     pair[which][2, 5] = value
     with pytest.raises(DomainError, match="must be finite"):
         dmd(pair["x"], pair["xp"])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("index", [0, -1], ids=["first", "last"])
+def test_rejects_non_finite_first_or_last_entry(value, index):
+    # the checks read max and min; NaN or inf anywhere must reach them
+    rng = np.random.default_rng(1)
+    for which in ("x", "xp"):
+        pair = {"x": rng.normal(size=(4, 9)), "xp": rng.normal(size=(4, 9))}
+        pair[which][index, index] = value
+        with pytest.raises(DomainError, match="must be finite"):
+            dmd(pair["x"], pair["xp"])
+    data = rng.normal(size=(10, 4))
+    data[index, index] = value
+    with pytest.raises(ConfigError, match="non-finite"):
+        SnapshotMatrix(data=data)
 
 
 @pytest.mark.parametrize("shape", [(1, 0), (2, 0), (100, 0)])
@@ -115,10 +138,9 @@ class TestGramKernel:
 
     @staticmethod
     def decompose(monkeypatch, x, xp, rank):
-        """dmd() of the pair, and whether it called np.linalg.svd."""
+        """dmd() of the pair, and whether it took the SVD fallback."""
         calls = []
-        svd = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        monkeypatch.setattr(dmd_module, "_svd", lambda a: calls.append(1) or _svd(a))
         result = dmd(x, xp, rank=rank)
         monkeypatch.undo()
         return result, bool(calls)
@@ -172,7 +194,8 @@ class TestOneBlasThread:
         """numpy's OpenBLAS thread count getter, with the count set to 2
         for the test (so the pin is seen whatever the environment says)
         and restored after it."""
-        get, set_ = _blas_threads()
+        lib = _openblas()
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
         before = get()
         set_(2)
         yield get
@@ -180,7 +203,7 @@ class TestOneBlasThread:
 
     def test_finds_numpy_openblas(self):
         # else the pin would silently do nothing on this build
-        assert _blas_threads() is not None
+        assert _openblas() is not None
 
     def test_decomposes_on_one_thread(self, monkeypatch, threads):
         seen = []
@@ -194,9 +217,7 @@ class TestOneBlasThread:
     def test_restores_the_count_after_an_error(self, monkeypatch, threads):
         # an all-zero window raises inside the pinned body, in the SVD fallback
         seen = []
-        svd = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd",
-                            lambda *a, **k: seen.append(threads()) or svd(*a, **k))
+        monkeypatch.setattr(dmd_module, "_svd", lambda a: seen.append(threads()) or _svd(a))
         with pytest.raises(DegenerateDataError):
             dmd(np.zeros((40, 99)), np.zeros((40, 99)))
         assert seen == [1]
@@ -204,16 +225,114 @@ class TestOneBlasThread:
 
     def test_without_openblas_runs_and_warns_once(self, monkeypatch, caplog, tmp_path):
         monkeypatch.setattr(dmd_module, "_BLAS_DIR", str(tmp_path))
-        _blas_threads.cache_clear()
+        _openblas.cache_clear()
         x, xp = prescribed_window(np.random.default_rng(1), 40, 99, np.geomspace(1.0, 0.1, 40))
         try:
             with caplog.at_level(logging.WARNING, logger="koopnet.dmd"):
                 results = [dmd(x, xp) for _ in range(2)]
         finally:
-            _blas_threads.cache_clear()     # the next call looks again
+            _openblas.cache_clear()     # the next call looks again
         assert all(r.rank == 40 for r in results)
         warned = [r for r in caplog.records if r.name == "koopnet.dmd"]
         assert len(warned) == 1 and warned[0].levelno == logging.WARNING
+
+
+def lattice_window(seed, window):
+    """The pair (x, xp) of window `window` (rows 200w..200w+199) of a
+    64x64 open IFO lattice record as the benchmark's ifo-lattice
+    workload makes it: 4096 x 199 F-ordered views, as windowed_dmd
+    passes them to dmd()."""
+    params = IfoParams(gamma=2.0, epsilon=0.145, rows=64, cols=64, dt=0.01, seed=seed)
+    snapshots, _ = simulate_ifo(params, 200 * (window + 1))
+    return build_snapshot_pairs(SnapshotMatrix(snapshots.data[200 * window:]))
+
+
+# the VmHWM growth, in kB, of one SVD of a 4096 x 199 window in a fresh
+# process, after a small SVD has loaded and warmed up LAPACK
+SVD_PEAK_PROBE = """
+import sys
+import numpy as np
+from koopnet.dmd import _svd
+
+def hwm():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+
+svd = _svd if sys.argv[1] == "koopnet" else lambda a: np.linalg.svd(a, full_matrices=False)
+svd(np.random.default_rng(1).normal(size=(40, 20)))
+x = np.random.default_rng(0).normal(size=(199, 4096)).T
+before = hwm()
+svd(x)
+print(hwm() - before)
+"""
+
+
+class TestSvd:
+    """dmd._svd: LAPACK's dgesdd called directly, bit for bit as
+    np.linalg.svd(x, full_matrices=False), with one copy of U fewer."""
+
+    @staticmethod
+    def assert_same_bits(x):
+        for got, expect in zip(_svd(x), np.linalg.svd(x, full_matrices=False)):
+            assert got.shape == expect.shape and np.array_equal(got, expect)
+
+    def test_lattice_fallback_window(self, monkeypatch):
+        x, _ = lattice_window(0, 3)
+        assert x.shape == (4096, 199)
+        self.assert_same_bits(x)
+        with _one_blas_thread():
+            self.assert_same_bits(x)
+        # and the window is one the Gram path refuses
+        calls = []
+        monkeypatch.setattr(dmd_module, "_svd", lambda a: calls.append(a.shape) or _svd(a))
+        _kernel(x, 16, max(x.shape))
+        assert calls == [(4096, 199)]
+
+    @pytest.mark.parametrize("shape", [(150, 99), (40, 99), (199, 199), (1, 5), (5, 1)])
+    def test_matches_numpy(self, shape):
+        x = np.random.default_rng(sum(shape)).normal(size=shape)
+        self.assert_same_bits(x)
+        self.assert_same_bits(np.asfortranarray(x))
+
+    def test_failure_raises_linalg_error(self):
+        # LAPACKE's NaN check returns info = -5 (argument a) on a NaN input
+        with pytest.raises(np.linalg.LinAlgError, match="info -5"):
+            _svd(np.full((3, 3), np.nan))
+
+    def test_without_openblas_takes_numpy_svd(self, monkeypatch, tmp_path):
+        x, xp = lattice_window(0, 3)
+        expect = dmd(x, xp, rank=16)
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        lib = _openblas()
+        previous = lib.scipy_openblas_get_num_threads64_()
+        monkeypatch.setattr(dmd_module, "_BLAS_DIR", str(tmp_path))
+        _openblas.cache_clear()
+        # the pin is off without the library; set the count it would set
+        lib.scipy_openblas_set_num_threads64_(1)
+        try:
+            result = dmd(x, xp, rank=16)
+        finally:
+            lib.scipy_openblas_set_num_threads64_(previous)
+            _openblas.cache_clear()
+        assert calls == [1]
+        for field in ("eigenvalues_discrete", "modes", "amplitudes", "singular_values"):
+            assert np.array_equal(getattr(result, field), getattr(expect, field))
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status") or _openblas() is None,
+                        reason="needs Linux's VmHWM and numpy's bundled scipy-openblas")
+    def test_holds_one_window_copy_fewer(self):
+        src = str(Path(koopnet.__file__).resolve().parent.parent)
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        growth = {}
+        for which in ("koopnet", "numpy"):
+            out = subprocess.run([sys.executable, "-c", SVD_PEAK_PROBE, which], env=env,
+                                 check=True, capture_output=True, text=True).stdout
+            growth[which] = int(out)
+        # one 4096 x 199 window is 6.2 MiB
+        assert growth["numpy"] - growth["koopnet"] >= 4 * 1024, growth
 
 
 def window_with_constant_rows(rng, n, m, varying, singular_values, value=None):
@@ -273,6 +392,26 @@ class TestConstantRowFold:
         assert result.rank == (30 if rank is None else rank)
         assert np.all(result.modes[const] == 0.0)
         assert np.all(_basis(x, rank)[0][const] == 0.0)
+
+    def test_signed_zero_rows_fold_as_constant(self, monkeypatch):
+        # rows of 0.0 and -0.0 are constant: the kernel gets the rows the
+        # mask np.any(x != x[:, :1], axis=1) selects, then the folded row
+        rng = np.random.default_rng(12)
+        x, xp, const = window_with_constant_rows(rng, 60, 99, 20,
+                                                 np.geomspace(1.0, 0.1, 20), value=0.0)
+        rows = np.flatnonzero(const)
+        x[rows[0], ::2] = -0.0
+        x[rows[1], 0] = -0.0
+        x[rows[2], 1:] = -0.0
+        folded = []
+        monkeypatch.setattr(dmd_module, "_kernel",
+                            lambda y, *a, kernel=_kernel: folded.append(y) or kernel(y, *a))
+        result = dmd(x, xp)
+        varying = np.any(x != x[:, :1], axis=1)
+        assert np.array_equal(varying, ~const)
+        assert len(folded) == 1 and np.array_equal(folded[0][:-1], x[varying])
+        assert np.all(folded[0][-1] == 0.0)
+        assert result.rank == 20 and np.all(result.modes[const] == 0.0)
 
     @pytest.mark.parametrize("n, m", [(40, 99), (150, 99)], ids=["wide", "tall"])
     @pytest.mark.parametrize("rank", [16, None])
