@@ -17,18 +17,38 @@ new, and exits 1 if there is any; it warns on stderr when the golden
 file's environment line differs from this run's. ``--src`` picks the
 source tree koopnet is imported from (default: this checkout's
 ``src/``), so two checkouts can be compared without installing either.
-Stdlib only; each run is a separate ``python -m koopnet.cli`` process.
+
+``--keep DIR`` saves the run's artifacts as ``DIR/<config>/<file>``
+(DIR must be new or empty), and ``--diff-values DIR`` compares the
+run's values against artifacts saved that way:
+
+    python3 scripts/artifact_digest.py --keep golden/ > golden.txt  # before
+    python3 scripts/artifact_digest.py --diff-values golden/        # after
+
+It prints each changed, missing or new file, then one line per file
+kind (``modes_w*.csv`` stands for every window's modes file) and column
+with the number of cells that moved, the largest absolute and relative
+move among the cells that kept their sign, and the number of sign
+flips. A CSV file's columns are its header's; any other file is
+compared line by line, as one column named ``(line)``. It exits 1 if
+any file differs. Stdlib only; each run is a separate
+``python -m koopnet.cli`` process.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import importlib.metadata
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
+from contextlib import nullcontext
+from itertools import zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -76,20 +96,88 @@ CONFIGS = {
 }
 
 
-def digests(src: Path) -> dict[tuple[str, str], str]:
-    """(config, file) -> sha256 hex digest of one pipeline run per config."""
+def run_all(src: Path, base: Path) -> None:
+    """One pipeline run per config, into base/<config>."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    out: dict[tuple[str, str], str] = {}
-    with tempfile.TemporaryDirectory(prefix="koopnet-digest-") as tmp:
-        for name, args in CONFIGS.items():
-            run_dir = Path(tmp) / name
-            cmd = [sys.executable, "-m", "koopnet.cli", "pipeline", *args, "--out", str(run_dir)]
-            proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
-            if proc.returncode != 0:
-                raise SystemExit(f"{name}: pipeline exited {proc.returncode}\n{proc.stderr}")
-            for path in sorted(run_dir.iterdir()):
-                out[name, path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
-    return out
+    for name, args in CONFIGS.items():
+        cmd = [sys.executable, "-m", "koopnet.cli", "pipeline", *args, "--out", str(base / name)]
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise SystemExit(f"{name}: pipeline exited {proc.returncode}\n{proc.stderr}")
+
+
+def artifacts(base: Path) -> dict[tuple[str, str], Path]:
+    """(config, file) -> path of every artifact under base/<config>, in
+    CONFIGS order, then any other config's in name order."""
+    rank = {name: i for i, name in enumerate(CONFIGS)}
+    configs = sorted((d for d in base.iterdir() if d.is_dir()),
+                     key=lambda d: (rank.get(d.name, len(rank)), d.name))
+    return {(config.name, path.name): path
+            for config in configs for path in sorted(config.iterdir())}
+
+
+def digests(base: Path) -> dict[tuple[str, str], str]:
+    """(config, file) -> sha256 hex digest of every artifact under base."""
+    return {key: hashlib.sha256(path.read_bytes()).hexdigest()
+            for key, path in artifacts(base).items()}
+
+
+def table(path: Path | None) -> dict[str, list[str]]:
+    """column -> cells of an artifact, top to bottom: a CSV file's header
+    columns, or any other file's lines as the column '(line)'. A missing
+    file has no columns."""
+    if path is None:
+        return {}
+    text = path.read_text(encoding="utf-8")
+    if path.suffix != ".csv":
+        return {"(line)": text.splitlines()}
+    header, *rows = list(csv.reader(text.splitlines()))
+    return {col: [row[i] if i < len(row) else "" for row in rows] for i, col in enumerate(header)}
+
+
+def number(cell: str | None) -> float | None:
+    """The cell as a float, or None if it is missing or no number."""
+    try:
+        return float(cell)
+    except (TypeError, ValueError):
+        return None
+
+
+def value_diff(old: Path, new: Path) -> dict[tuple[str, str], dict]:
+    """(file kind, column) -> {'cells', 'moved', 'max_abs', 'max_rel',
+    'flips'} over the artifacts whose bytes differ between two
+    directories laid out as --keep saves them. A cell moved if its text
+    changed, or it is on one side only (so every cell of a missing or new
+    file moved). max_abs and max_rel are over the moved cells that are
+    finite numbers of the same sign on both sides (max_rel is inf where
+    the old value is 0); a sign flip is a move between two nonzero
+    numbers of opposite sign."""
+    stats: dict[tuple[str, str], dict] = {}
+    before_files, after_files = artifacts(old), artifacts(new)
+    for key in sorted(before_files.keys() | after_files.keys()):
+        p, q = before_files.get(key), after_files.get(key)
+        if p and q and p.read_bytes() == q.read_bytes():
+            continue
+        before, after = table(p), table(q)
+        kind = re.sub(r"_w\d+", "_w*", key[1])
+        for col in list(before) + [c for c in after if c not in before]:
+            a, b = before.get(col, []), after.get(col, [])
+            s = stats.setdefault((kind, col), {"cells": 0, "moved": 0, "max_abs": 0.0,
+                                               "max_rel": 0.0, "flips": 0})
+            s["cells"] += max(len(a), len(b))
+            for x, y in zip_longest(a, b):
+                if x == y:
+                    continue
+                s["moved"] += 1
+                u, v = number(x), number(y)
+                if u is None or v is None or not (math.isfinite(u) and math.isfinite(v)):
+                    continue
+                if u * v < 0:
+                    s["flips"] += 1
+                    continue
+                s["max_abs"] = max(s["max_abs"], abs(v - u))
+                s["max_rel"] = max(s["max_rel"], abs(v - u) / abs(u) if u else math.inf)
+    return stats
 
 
 def environment() -> str:
@@ -114,26 +202,9 @@ def read_digests(path: Path) -> tuple[str | None, dict[tuple[str, str], str]]:
     return header, out
 
 
-def main(argv: list[str] | None = None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--compare", type=Path, default=None,
-                   help="earlier output of this script to compare against")
-    p.add_argument("--src", type=Path, default=ROOT / "src",
-                   help="directory koopnet is imported from (default: %(default)s)")
-    args = p.parse_args(argv)
-
-    current, env = digests(args.src.resolve()), environment()
-    if args.compare is None:
-        print(env)
-        for (config, name), digest in current.items():
-            print(f"{config}  {name}  {digest}")
-        return 0
-
-    header, golden = read_digests(args.compare)
-    if header != env:
-        print(f"warning: environment differs from {args.compare}:\n"
-              f"  golden: {header or '(no environment line)'}\n"
-              f"  now:    {env}", file=sys.stderr)
+def report_files(golden: dict[tuple[str, str], str], current: dict[tuple[str, str], str]) -> int:
+    """Print each file whose digest differs, is missing or is new, and
+    a count; return the number of such files."""
     differing = 0
     for key in sorted(golden.keys() | current.keys()):
         old, new = golden.get(key), current.get(key)
@@ -143,6 +214,55 @@ def main(argv: list[str] | None = None) -> int:
         state = "missing" if new is None else "new" if old is None else "changed"
         print(f"{key[0]}  {key[1]}  {state}")
     print(f"{differing} of {len(golden.keys() | current.keys())} files differ")
+    return differing
+
+
+def report_values(stats: dict[tuple[str, str], dict]) -> None:
+    """Print value_diff's lines for the columns with moved cells."""
+    print("kind  column  cells  moved  max_abs  max_rel  sign_flips")
+    for (kind, col), s in sorted(stats.items()):
+        if s["moved"]:
+            print(f"{kind}  {col}  {s['cells']}  {s['moved']}  {s['max_abs']:.3g}  "
+                  f"{s['max_rel']:.3g}  {s['flips']}")
+
+
+def main(argv: list[str] | None = None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    against = p.add_mutually_exclusive_group()
+    against.add_argument("--compare", type=Path, default=None,
+                         help="earlier output of this script to compare against")
+    against.add_argument("--diff-values", type=Path, default=None,
+                         help="artifacts saved by --keep to compare values against")
+    p.add_argument("--keep", type=Path, default=None,
+                   help="new or empty directory to save the artifacts in")
+    p.add_argument("--src", type=Path, default=ROOT / "src",
+                   help="directory koopnet is imported from (default: %(default)s)")
+    args = p.parse_args(argv)
+    if args.keep is not None and args.keep.exists() and any(args.keep.iterdir()):
+        p.error(f"--keep {args.keep} is not empty")
+
+    with (nullcontext(args.keep) if args.keep is not None
+          else tempfile.TemporaryDirectory(prefix="koopnet-digest-")) as base:
+        base = Path(base)
+        base.mkdir(parents=True, exist_ok=True)
+        run_all(args.src.resolve(), base)
+        current, env = digests(base), environment()
+        if args.compare is None and args.diff_values is None:
+            print(env)
+            for (config, name), digest in current.items():
+                print(f"{config}  {name}  {digest}")
+            return 0
+        if args.compare is not None:
+            header, golden = read_digests(args.compare)
+            if header != env:
+                print(f"warning: environment differs from {args.compare}:\n"
+                      f"  golden: {header or '(no environment line)'}\n"
+                      f"  now:    {env}", file=sys.stderr)
+        else:
+            golden = digests(args.diff_values)
+        differing = report_files(golden, current)
+        if args.diff_values is not None:
+            report_values(value_diff(args.diff_values, base))
     return 1 if differing else 0
 
 

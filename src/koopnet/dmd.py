@@ -5,10 +5,12 @@ snapshot to its successor, then eigendecomposes it in a reduced basis of
 the leading singular vectors of the data. The basis comes from the method
 of snapshots with an SVD fallback below sigma_r/sigma_1 = 1e-3: eigh of
 the smaller Gram matrix, or the SVD where that ratio would lose accuracy.
-The SVD calls LAPACK's dgesdd itself (_svd): the routine and optimal-
-workspace query np.linalg.svd uses, so the same bits, but LAPACK writes
-U straight into the array kept, not into a buffer numpy then copies
-out; on a 4096 x 199 window that is one 6.2 MiB copy fewer.
+The SVD calls LAPACK's dgesdd itself (_svd), with jobz 'O': LAPACK
+writes U over its copy of the window, so on a 4096 x 199 window that
+copy is the only 6.2 MiB buffer, where np.linalg.svd holds three. sigma
+and the small factor have np.linalg.svd's bits; where the long side is
+at least 11/6 of the short one, the large factor may differ from its in
+the last bit.
 Rows constant across a window (sites no Bak-Sneppen avalanche reached
 in it) are first folded, exactly, into one row, so the Gram matrix is
 only as large as the varying rows. The resulting eigenvalues/modes/
@@ -149,24 +151,28 @@ def _one_blas_thread():
 
 
 def _svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """np.linalg.svd(x, full_matrices=False), bit for bit, with one copy
-    of U fewer: LAPACK's dgesdd (jobz 'S', workspace from the optimal-
-    lwork query, as numpy calls it) overwrites an F-ordered copy of x
-    and writes U and V^T straight into the arrays returned, which are
-    F-ordered. Without a bundled scipy-openblas it is np.linalg.svd."""
+    """np.linalg.svd(x, full_matrices=False) with no buffer of x's size
+    but one: LAPACK's dgesdd (jobz 'O', workspace from the optimal-lwork
+    query) overwrites an F-ordered copy of x with the larger factor, U
+    when x is tall and V^T when it is wide, and writes the other, k x k,
+    into a small array; all three are F-ordered. sigma and the k x k
+    factor have numpy's (jobz 'S') bits; where max(m, n) >= 11k/6, 'O'
+    forms the larger factor in blocks, so it may differ from numpy's in
+    the last bit. Without a bundled scipy-openblas it is np.linalg.svd."""
     lib = _openblas()
     if lib is None:
         return np.linalg.svd(x, full_matrices=False)
     m, n = x.shape
     k = min(m, n)
-    a = np.array(x, order="F")      # dgesdd destroys its input
-    s, u, vh = np.empty(k), np.empty((m, k), order="F"), np.empty((k, n), order="F")
-    # 102: LAPACK_COL_MAJOR
-    info = lib.scipy_LAPACKE_dgesdd64_(102, b"S", m, n, a.ctypes.data, max(m, 1), s.ctypes.data,
-                                       u.ctypes.data, max(m, 1), vh.ctypes.data, max(k, 1))
+    a = np.array(x, order="F")      # dgesdd overwrites its input
+    s, small = np.empty(k), np.empty((k, k), order="F")
+    # 102: LAPACK_COL_MAJOR; `small` goes as both u and vt, and LAPACK
+    # writes the one of them that does not go over `a`
+    info = lib.scipy_LAPACKE_dgesdd64_(102, b"O", m, n, a.ctypes.data, max(m, 1), s.ctypes.data,
+                                       small.ctypes.data, max(k, 1), small.ctypes.data, max(k, 1))
     if info:
         raise np.linalg.LinAlgError(f"SVD failed: LAPACKE dgesdd returned info {info}")
-    return u, s, vh
+    return (a, s, small) if m >= n else (small, s, a)
 
 
 def _check_rank(rank: int | None) -> None:
@@ -235,8 +241,8 @@ def _kernel(x: np.ndarray, rank: int | None,
     That needs sigma_want / sigma_1 >= _GRAM_MIN_RATIO, want = min(rank,
     N, T-1); otherwise the SVD of x gives the basis, truncated to its
     numerical rank at tolerance sigma_1 * size * eps. The SVD is LAPACK's
-    dgesdd, called by _svd itself with numpy's workspace query, so it has
-    np.linalg.svd's bits.
+    dgesdd, called by _svd itself: np.linalg.svd's sigma, and factors
+    within one eps of its.
     """
     n, m = x.shape
     want = min(n, m) if rank is None else min(rank, n, m)

@@ -377,17 +377,25 @@ def test_criterion_9_across_blas_thread_counts(tmp_path):
     """A pipeline run with OpenBLAS's default thread count and one with
     OPENBLAS_NUM_THREADS=1 write byte-identical artifacts: dmd() runs on
     one thread either way. Each run is a fresh process, since OpenBLAS
-    reads the variable when it is loaded."""
+    reads the variable when it is loaded. Two runs: tall Bak-Sneppen
+    windows, and a periodic IFO lattice whose 576 x 199 windows all take
+    the SVD fallback (dmd._svd). It keeps the numerical rank: the thread
+    count moves only U's columns past the 48th there, which rank 16
+    would drop."""
     src = str(Path(koopnet.__file__).resolve().parent.parent)
     default = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     default["PYTHONPATH"] = os.pathsep.join(filter(None, [src, default.get("PYTHONPATH")]))
-    runs = {}
-    for name, env in (("default", default), ("one", dict(default, OPENBLAS_NUM_THREADS="1"))):
-        out = tmp_path / name
-        subprocess.run([sys.executable, "-m", "koopnet.cli", "pipeline", "--model", "bs",
-                        "--n", "200", "--steps", "1000", "--seed", "1", "--stride", "50",
-                        "--out", str(out)], env=env, check=True, capture_output=True)
-        runs[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    configs = {"bs": ["--model", "bs", "--n", "200", "--steps", "1000", "--seed", "1",
+                      "--stride", "50"],
+               "ifo": ["--model", "ifo", "--rows", "24", "--cols", "24", "--boundary", "periodic",
+                       "--steps", "1500", "--seed", "5", "--rank", "0"]}
+    runs = {"default": {}, "one": {}}
+    for config, flags in configs.items():
+        for name, env in (("default", default), ("one", dict(default, OPENBLAS_NUM_THREADS="1"))):
+            out = tmp_path / config / name
+            subprocess.run([sys.executable, "-m", "koopnet.cli", "pipeline", *flags,
+                            "--out", str(out)], env=env, check=True, capture_output=True)
+            runs[name].update({f"{config}/{p.name}": p.read_bytes() for p in sorted(out.iterdir())})
     differing = sorted(k for k in runs["default"] if runs["default"][k] != runs["one"].get(k))
     ok = runs["default"].keys() == runs["one"].keys() and not differing
     assert report(9, ok, f"{len(runs['default'])} artifacts byte-identical under the default "

@@ -1,0 +1,72 @@
+"""scripts/artifact_digest.py's value diff, on hand-made artifact directories."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "artifact_digest.py"
+spec = importlib.util.spec_from_file_location("artifact_digest", SCRIPT)
+artifact_digest = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(artifact_digest)
+
+SPECTRUM = "re_lambda,im_lambda,amplitude,group\n0.5,{im},{amp},slow\n0.25,0.0,1.0,fast\n"
+MODES = "mode,node,re_v\ndominant_1,n0,0.5\n"
+REPORT = "# Windowed spectral analysis\n\n- windows analyzed: 2\n"
+
+
+def write(base, files):
+    for name, text in files.items():
+        path = base / "cfg" / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    return base
+
+
+@pytest.fixture
+def dirs(tmp_path):
+    """The saved run, and a run in which window 1's first eigenvalue
+    flips the sign of its imaginary part, its amplitude moves from 2.0
+    to 3.0 and report.md is missing."""
+    old = write(tmp_path / "old", {"spectrum_w0.csv": SPECTRUM.format(im=0.5, amp=2.0),
+                                   "spectrum_w1.csv": SPECTRUM.format(im=0.5, amp=2.0),
+                                   "modes_w1.csv": MODES, "report.md": REPORT})
+    new = write(tmp_path / "new", {"spectrum_w0.csv": SPECTRUM.format(im=0.5, amp=2.0),
+                                   "spectrum_w1.csv": SPECTRUM.format(im=-0.5, amp=3.0),
+                                   "modes_w1.csv": MODES})
+    return old, new
+
+
+def test_value_diff(dirs):
+    stats = artifact_digest.value_diff(*dirs)
+    # identical files are left out: only spectrum_w1.csv's 2 rows count
+    assert stats["spectrum_w*.csv", "im_lambda"] == {
+        "cells": 2, "moved": 1, "max_abs": 0.0, "max_rel": 0.0, "flips": 1}
+    assert stats["spectrum_w*.csv", "amplitude"] == {
+        "cells": 2, "moved": 1, "max_abs": 1.0, "max_rel": 0.5, "flips": 0}
+    for col in ("re_lambda", "group"):
+        assert stats["spectrum_w*.csv", col]["moved"] == 0
+    # every line of the missing file moved
+    assert stats["report.md", "(line)"] == {
+        "cells": 3, "moved": 3, "max_abs": 0.0, "max_rel": 0.0, "flips": 0}
+    assert not any(kind == "modes_w*.csv" for kind, _ in stats)
+
+
+def test_reports(dirs, capsys):
+    old, new = dirs
+    assert artifact_digest.report_files(artifact_digest.digests(old),
+                                        artifact_digest.digests(new)) == 2
+    artifact_digest.report_values(artifact_digest.value_diff(old, new))
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["cfg  report.md  missing", "cfg  spectrum_w1.csv  changed",
+                         "2 of 4 files differ"]
+    assert lines[3:] == ["kind  column  cells  moved  max_abs  max_rel  sign_flips",
+                         "report.md  (line)  3  3  0  0  0",
+                         "spectrum_w*.csv  amplitude  2  1  1  0.5  0",
+                         "spectrum_w*.csv  im_lambda  2  1  0  0  1"]
+
+
+def test_keep_must_be_new_or_empty(dirs):
+    with pytest.raises(SystemExit) as exc:
+        artifact_digest.main(["--keep", str(dirs[0])])
+    assert exc.value.code == 2

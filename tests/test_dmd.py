@@ -1,5 +1,6 @@
 """Exact DMD tests against analytically known linear systems."""
 
+import contextlib
 import importlib
 import logging
 import os
@@ -250,7 +251,6 @@ def lattice_window(seed, window):
 # the VmHWM growth, in kB, of one SVD of a 4096 x 199 window in a fresh
 # process, after a small SVD has loaded and warmed up LAPACK
 SVD_PEAK_PROBE = """
-import sys
 import numpy as np
 from koopnet.dmd import _svd
 
@@ -258,18 +258,20 @@ def hwm():
     with open("/proc/self/status") as f:
         return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
 
-svd = _svd if sys.argv[1] == "koopnet" else lambda a: np.linalg.svd(a, full_matrices=False)
-svd(np.random.default_rng(1).normal(size=(40, 20)))
+_svd(np.random.default_rng(1).normal(size=(40, 20)))
 x = np.random.default_rng(0).normal(size=(199, 4096)).T
 before = hwm()
-svd(x)
+_svd(x)
 print(hwm() - before)
 """
 
 
 class TestSvd:
-    """dmd._svd: LAPACK's dgesdd called directly, bit for bit as
-    np.linalg.svd(x, full_matrices=False), with one copy of U fewer."""
+    """dmd._svd: LAPACK's dgesdd called directly with jobz 'O', so the
+    copy of x it overwrites is the only buffer of x's size. sigma and
+    the smaller factor are np.linalg.svd(x, full_matrices=False)'s bit
+    for bit; the larger one is within 1 eps of numpy's entry by entry,
+    and bit for bit on the small shapes below."""
 
     @staticmethod
     def assert_same_bits(x):
@@ -279,9 +281,16 @@ class TestSvd:
     def test_lattice_fallback_window(self, monkeypatch):
         x, _ = lattice_window(0, 3)
         assert x.shape == (4096, 199)
-        self.assert_same_bits(x)
-        with _one_blas_thread():
-            self.assert_same_bits(x)
+        eps = np.finfo(float).eps
+        for pin in (contextlib.nullcontext, _one_blas_thread):
+            with pin():
+                u, s, vh = _svd(x)
+                u_np, s_np, vh_np = np.linalg.svd(x, full_matrices=False)
+            assert np.array_equal(s, s_np) and np.array_equal(vh, vh_np)
+            assert u.shape == u_np.shape and np.max(np.abs(u - u_np)) <= eps
+            # U^T U - I is no worse than numpy's
+            eye = np.eye(u.shape[1])
+            assert np.max(np.abs(u.T @ u - eye)) <= np.max(np.abs(u_np.T @ u_np - eye))
         # and the window is one the Gram path refuses
         calls = []
         monkeypatch.setattr(dmd_module, "_svd", lambda a: calls.append(a.shape) or _svd(a))
@@ -317,22 +326,27 @@ class TestSvd:
             lib.scipy_openblas_set_num_threads64_(previous)
             _openblas.cache_clear()
         assert calls == [1]
-        for field in ("eigenvalues_discrete", "modes", "amplitudes", "singular_values"):
-            assert np.array_equal(getattr(result, field), getattr(expect, field))
+        assert np.array_equal(result.singular_values, expect.singular_values)
+        assert result.rank == expect.rank
+        # numpy's U differs from _svd's in the last bit only (measured: the
+        # eigenvalues move by 4.7e-10; this window's amplitudes are set by
+        # rounding, so they are not compared)
+        assert np.max(np.abs(sorted_eigs(result.eigenvalues_discrete)
+                             - sorted_eigs(expect.eigenvalues_discrete))) <= 1e-9
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status") or _openblas() is None,
                         reason="needs Linux's VmHWM and numpy's bundled scipy-openblas")
-    def test_holds_one_window_copy_fewer(self):
+    def test_holds_no_window_copy_but_its_input(self):
         src = str(Path(koopnet.__file__).resolve().parent.parent)
         env = dict(os.environ,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        growth = {}
-        for which in ("koopnet", "numpy"):
-            out = subprocess.run([sys.executable, "-c", SVD_PEAK_PROBE, which], env=env,
-                                 check=True, capture_output=True, text=True).stdout
-            growth[which] = int(out)
-        # one 4096 x 199 window is 6.2 MiB
-        assert growth["numpy"] - growth["koopnet"] >= 4 * 1024, growth
+        growth = int(subprocess.run([sys.executable, "-c", SVD_PEAK_PROBE], env=env,
+                                    check=True, capture_output=True, text=True).stdout)
+        # one 4096 x 199 window is 6,368 kB: the copy LAPACK overwrites
+        # with U, and under 0.75 of one more for the workspace and the
+        # small factors (np.linalg.svd grows by about 3.5 windows)
+        window = 4096 * 199 * 8 // 1024
+        assert window <= growth <= 1.75 * window, growth
 
 
 def window_with_constant_rows(rng, n, m, varying, singular_values, value=None):
