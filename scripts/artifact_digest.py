@@ -28,10 +28,11 @@ run's values against artifacts saved that way:
 It prints each changed, missing or new file, then one line per file
 kind (``modes_w*.csv`` stands for every window's modes file) and column
 with the number of cells that moved, the largest absolute and relative
-move among the cells that kept their sign, and the number of sign
-flips. A CSV file's columns are its header's; any other file is
-compared line by line, as one column named ``(line)``. It exits 1 if
-any file differs. Stdlib only; each run is a separate
+move among the cells that kept their sign, the largest such move over
+its file column's largest old magnitude, and the number of sign flips.
+A CSV file's columns are its header's; any other file is compared line
+by line, as one column named ``(line)``. It exits 1 if any file
+differs. Stdlib only; each run is a separate
 ``python -m koopnet.cli`` process.
 """
 
@@ -145,13 +146,15 @@ def number(cell: str | None) -> float | None:
 
 def value_diff(old: Path, new: Path) -> dict[tuple[str, str], dict]:
     """(file kind, column) -> {'cells', 'moved', 'max_abs', 'max_rel',
-    'flips'} over the artifacts whose bytes differ between two
-    directories laid out as --keep saves them. A cell moved if its text
-    changed, or it is on one side only (so every cell of a missing or new
-    file moved). max_abs and max_rel are over the moved cells that are
-    finite numbers of the same sign on both sides (max_rel is inf where
-    the old value is 0); a sign flip is a move between two nonzero
-    numbers of opposite sign."""
+    'max_scaled', 'flips'} over the artifacts whose bytes differ between
+    two directories laid out as --keep saves them. A cell moved if its
+    text changed, or it is on one side only (so every cell of a missing
+    or new file moved). max_abs, max_rel and max_scaled are over the
+    moved cells that are finite numbers of the same sign on both sides:
+    max_rel divides a move by its cell's old |value| (inf where that is
+    0), max_scaled by the largest finite old |value| of its column in its
+    file, so a cell near 0 in a column of O(1) values reads small. A
+    sign flip is a move between two nonzero numbers of opposite sign."""
     stats: dict[tuple[str, str], dict] = {}
     before_files, after_files = artifacts(old), artifacts(new)
     for key in sorted(before_files.keys() | after_files.keys()):
@@ -163,8 +166,10 @@ def value_diff(old: Path, new: Path) -> dict[tuple[str, str], dict]:
         for col in list(before) + [c for c in after if c not in before]:
             a, b = before.get(col, []), after.get(col, [])
             s = stats.setdefault((kind, col), {"cells": 0, "moved": 0, "max_abs": 0.0,
-                                               "max_rel": 0.0, "flips": 0})
+                                               "max_rel": 0.0, "max_scaled": 0.0, "flips": 0})
             s["cells"] += max(len(a), len(b))
+            scale = max((abs(u) for u in map(number, a) if u is not None and math.isfinite(u)),
+                        default=0.0)
             for x, y in zip_longest(a, b):
                 if x == y:
                     continue
@@ -177,6 +182,7 @@ def value_diff(old: Path, new: Path) -> dict[tuple[str, str], dict]:
                     continue
                 s["max_abs"] = max(s["max_abs"], abs(v - u))
                 s["max_rel"] = max(s["max_rel"], abs(v - u) / abs(u) if u else math.inf)
+                s["max_scaled"] = max(s["max_scaled"], abs(v - u) / scale if scale else math.inf)
     return stats
 
 
@@ -219,11 +225,11 @@ def report_files(golden: dict[tuple[str, str], str], current: dict[tuple[str, st
 
 def report_values(stats: dict[tuple[str, str], dict]) -> None:
     """Print value_diff's lines for the columns with moved cells."""
-    print("kind  column  cells  moved  max_abs  max_rel  sign_flips")
+    print("kind  column  cells  moved  max_abs  max_rel  max_scaled  sign_flips")
     for (kind, col), s in sorted(stats.items()):
         if s["moved"]:
             print(f"{kind}  {col}  {s['cells']}  {s['moved']}  {s['max_abs']:.3g}  "
-                  f"{s['max_rel']:.3g}  {s['flips']}")
+                  f"{s['max_rel']:.3g}  {s['max_scaled']:.3g}  {s['flips']}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -139,6 +139,7 @@ def _stream_windows(blocks, windows: list[WindowAnalysis], dt: float, window_len
             else:
                 amps = result.amplitude_magnitudes()
                 slow, fast = split_timescales(result)
+            # the maximum is column 0's, the most dominant (see DmdResult)
             windows.append(WindowAnalysis(
                 window_index=start // stride, start_step=start, end_step=end, result=result,
                 dominant_amplitudes=amps, max_amplitude=float(amps[0]) if amps.size else np.nan,
@@ -148,23 +149,17 @@ def _stream_windows(blocks, windows: list[WindowAnalysis], dt: float, window_len
 
 
 def dominant_modes(result: DmdResult, k: int) -> list[ModeEntry]:
-    """Top-k modes by amplitude magnitude |b| * ||v||, descending. Ties
-    break toward lower oscillation frequency, then lower index. k larger
-    than the retained rank is clamped."""
+    """The first k modes in dominance order (see DmdResult): columns
+    0..k-1. k larger than the retained rank is clamped."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    k = min(k, result.rank)
-    amps = result.amplitude_magnitudes()
-    freqs = np.abs(np.imag(result.eigenvalues_continuous))
-    freqs = np.where(np.isnan(freqs), np.inf, freqs)
-    order = sorted(range(result.rank), key=lambda i: (-amps[i], freqs[i], i))
     return [
         ModeEntry(
             eigenvalue=complex(result.eigenvalues_discrete[i]),
             mode=result.modes[:, i],
             amplitude=complex(result.amplitudes[i]),
         )
-        for i in order[:k]
+        for i in range(min(k, result.rank))
     ]
 
 
@@ -223,9 +218,10 @@ class ZeroFrequencyMode(NamedTuple):
 
 
 def zero_frequency_mode(result: DmdResult) -> ZeroFrequencyMode:
-    """The governing zero-frequency mode: largest amplitude among modes
-    whose continuous eigenvalue has |Im mu| below 1e-6 of the Nyquist
-    frequency pi/dt, a bound that scales with the sampling interval.
+    """The governing zero-frequency mode: the first, in dominance order
+    (see DmdResult), of the modes whose continuous eigenvalue has |Im mu|
+    below 1e-6 of the Nyquist frequency pi/dt, a bound that scales with
+    the sampling interval.
 
     A discrete eigenvalue within 0.01 of 1 is the static background
     (the mean state, effectively unchanged over a window); it is only
@@ -233,7 +229,6 @@ def zero_frequency_mode(result: DmdResult) -> ZeroFrequencyMode:
     since the spatial structure of interest (where activity happened)
     lives in the decaying directions.
     """
-    amps = result.amplitude_magnitudes()
     candidates = [
         k for k in range(result.rank)
         if not result.zero_flags[k]
@@ -241,9 +236,8 @@ def zero_frequency_mode(result: DmdResult) -> ZeroFrequencyMode:
     ]
     if not candidates:
         raise NotFoundError("no eigenvalue within the zero-frequency tolerance")
-    relaxing = [k for k in candidates
-                if abs(result.eigenvalues_discrete[k] - 1.0) > 0.01]
-    best = max(relaxing if relaxing else candidates, key=lambda k: amps[k])
+    best = next((k for k in candidates if abs(result.eigenvalues_discrete[k] - 1.0) > 0.01),
+                candidates[0])
     return ZeroFrequencyMode(
         eigenvalue=complex(result.eigenvalues_discrete[best]),
         mu=complex(result.eigenvalues_continuous[best]),

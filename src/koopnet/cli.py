@@ -85,25 +85,19 @@ def _spectrum_rows(result, slow, fast):
         yield (lam.real, lam.imag, mu.real, mu.imag, amp, norm, group)
 
 
-def _mode_lines(labels: list[str], named_modes) -> list[str]:
-    """The modes_w*.csv lines of (name, mode column) pairs. A column
-    listed twice (the zero-frequency mode is often a dominant one too)
-    is formatted once, matched by bits: -0.0 == 0.0, but their reprs
-    differ. Python's abs(complex), like numpy's scalar abs, is
-    hypot(re, im); np.abs over a complex array can round the last bit
-    differently."""
+def _mode_lines(labels: list[str], modes: np.ndarray, named) -> list[str]:
+    """The modes_w*.csv lines of (name, column index) pairs of `modes`. A
+    column named twice (the zero-frequency mode is often a dominant one
+    too) is formatted once. Python's abs(complex), like numpy's scalar
+    abs, is hypot(re, im); np.abs over a complex array can round the
+    last bit differently."""
     lines: list[str] = []
-    seen: dict[bytes, tuple[int, list[str]]] = {}
-    for name, mode in named_modes:
-        key = mode.tobytes()
-        if key in seen:
-            cut, first = seen[key]
-            lines += [name + line[cut:] for line in first]
-            continue
-        new = [f"{name},{node},{v.real!r},{v.imag!r},{abs(v)!r}"
-               for node, v in zip(labels, mode.tolist())]
-        seen[key] = (len(name), new)
-        lines += new
+    cells: dict[int, list[str]] = {}
+    for name, j in named:
+        if j not in cells:
+            cells[j] = [f"{node},{v.real!r},{v.imag!r},{abs(v)!r}"
+                        for node, v in zip(labels, modes[:, j].tolist())]
+        lines += [f"{name},{cell}" for cell in cells[j]]
     return lines
 
 
@@ -128,14 +122,15 @@ def cmd_analyze(record: tuple, args: argparse.Namespace) -> None:
             warnings.append(f"window {w.window_index}: {w.note}")
             continue
 
-        named_modes = [(f"dominant_{rank_i}", entry.mode) for rank_i, entry
-                       in enumerate(ana.dominant_modes(w.result, 5), start=1)]
+        # the columns in dominance order (see DmdResult): dominant_1 is column 0
+        named = [(f"dominant_{j + 1}", j) for j in range(min(5, w.result.rank))]
         try:
-            named_modes.append(("zero_frequency", ana.zero_frequency_mode(w.result).mode))
+            named.append(("zero_frequency", ana.zero_frequency_mode(w.result).index))
         except KoopnetError:
             warnings.append(f"window {w.window_index}: no zero-frequency mode")
         kio.write_csv(out / f"modes_w{w.window_index}.csv",
-                      ["mode", "node", "re_v", "im_v", "abs_v"], _mode_lines(labels, named_modes))
+                      ["mode", "node", "re_v", "im_v", "abs_v"],
+                      _mode_lines(labels, w.result.modes, named))
 
     kio.write_csv(out / "amplitudes.csv",
                   ["window_index", "max_amplitude",
@@ -178,8 +173,7 @@ def _render_report(shape: str, windows, report, warnings, jump_threshold) -> str
                   if not w.degenerate and (report.transition_window is None
                                            or w.window_index <= report.transition_window)), None)
     if focus is not None:
-        entry = ana.dominant_modes(focus.result, 1)[0]
-        pattern = ana.spatial_pattern(entry.mode)
+        pattern = ana.spatial_pattern(focus.result.modes[:, 0])
         sizable = [g for g in pattern.groups if len(g) > 1]
         lines.append("")
         lines.append(f"Dominant mode of window {focus.window_index}: "

@@ -24,10 +24,9 @@ them, would otherwise depend on OPENBLAS_NUM_THREADS. The pin sets the
 count through ctypes on the scipy-openblas library that numpy's Linux
 and Windows wheels bundle in numpy.libs. With any other BLAS (a macOS
 wheel's, a system one) it logs one warning, leaves the count alone and
-takes the SVD from np.linalg.svd.
-The count is process-wide: dmd() calls running at once in several
-Python threads share it, and one call's restore can end another's pin
-early.
+takes the SVD from np.linalg.svd. The count is process-wide, so dmd()
+calls made at once from several Python threads run their pinned bodies
+one at a time.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ import ctypes
 import functools
 import numbers
 import os
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -50,12 +50,15 @@ class DmdResult:
     """Spectral decomposition of one data window.
 
     Modes (columns) have unit Euclidean norm; scale lives in the
-    amplitudes. Entries are sorted by descending amplitude magnitude, so
-    index 0 is the most dominant mode. `zero_flags[k]` marks a discrete
-    eigenvalue numerically indistinguishable from 0, |lambda_k| <=
-    sqrt(eps) * max(1, max|lambda|) (an infinitely fast decaying
-    direction); its mode is the projected U_r w_k, its continuous
-    eigenvalue is NaN and it is excluded from rate-based diagnostics.
+    amplitudes. The columns are in dominance order, the one ranking of
+    modes that every consumer reads: descending |b_k|, ties in eig's
+    order, as dmd() sorts them, so column 0 is the most dominant mode
+    (with unit modes, also the order of |b_k| * ||v_k|| to within the
+    last bit). `zero_flags[k]` marks a discrete eigenvalue numerically
+    indistinguishable from 0, |lambda_k| <= sqrt(eps) * max(1,
+    max|lambda|) (an infinitely fast decaying direction); its mode is
+    the projected U_r w_k, its continuous eigenvalue is NaN and it is
+    excluded from rate-based diagnostics.
 
     `singular_values` holds all min(N, T-1) singular values of X. The
     basis comes from the method of snapshots with an SVD fallback below
@@ -75,7 +78,7 @@ class DmdResult:
     zero_flags: np.ndarray
 
     def amplitude_magnitudes(self) -> np.ndarray:
-        """|b_k| * ||v_k|| for every retained mode (descending)."""
+        """|b_k| * ||v_k|| for every retained mode, in column order."""
         return np.abs(self.amplitudes) * np.linalg.norm(self.modes, axis=0)
 
 
@@ -135,19 +138,25 @@ def _openblas():
     return None
 
 
+# held across a pinned body: a concurrent one's restore would end its pin
+_PIN_LOCK = threading.Lock()
+
+
 @contextmanager
 def _one_blas_thread():
-    """Run the body on one OpenBLAS thread and restore the count after."""
+    """Run the body on one OpenBLAS thread, one body at a time, and
+    restore the count after."""
     lib = _openblas()
     if lib is None:
         yield
         return
-    previous = lib.scipy_openblas_get_num_threads64_()
-    lib.scipy_openblas_set_num_threads64_(1)
-    try:
-        yield
-    finally:
-        lib.scipy_openblas_set_num_threads64_(previous)
+    with _PIN_LOCK:
+        previous = lib.scipy_openblas_get_num_threads64_()
+        lib.scipy_openblas_set_num_threads64_(1)
+        try:
+            yield
+        finally:
+            lib.scipy_openblas_set_num_threads64_(previous)
 
 
 def _svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -294,15 +303,14 @@ def dmd(x: np.ndarray, xp: np.ndarray, rank: int | None = None, dt: float = 1.0)
     sqrt(eps) * max(1, max|lambda|) count as zero and get the projected
     mode U_r w_k instead: dividing by a lambda_k that is rounding noise
     would return a noise vector. Amplitudes solve modes @ b ~ first
-    snapshot in the least-squares sense. Output is sorted by descending
-    |b_k|. Non-finite x or xp raise DomainError, and a window with no
-    snapshot pairs raises DegenerateDataError.
+    snapshot in the least-squares sense. The columns are sorted into
+    DmdResult's dominance order. Non-finite x or xp raise DomainError,
+    and a window with no snapshot pairs raises DegenerateDataError.
 
     The decomposition runs on one OpenBLAS thread, so its bits do not
     depend on OPENBLAS_NUM_THREADS, and the previous count is restored
     afterwards, also when it raises. This holds on numpy's bundled
-    scipy-openblas only, and concurrent calls share the process-wide
-    count (see the module docstring).
+    scipy-openblas only (see the module docstring).
     """
     x = np.asarray(x, dtype=float)
     xp = np.asarray(xp, dtype=float)

@@ -50,8 +50,7 @@ class IfoParams:
             raise ConfigError(f"lattice must be >= 1x1, got {self.rows}x{self.cols}")
         if self.boundary not in ("open", "periodic"):
             raise ConfigError(f"boundary must be 'open' or 'periodic', got {self.boundary!r}")
-        # the neighbor table's max degree, either boundary: <= 2 neighbors per axis
-        max_degree = min(self.rows - 1, 2) + min(self.cols - 1, 2)
+        max_degree = _neighbor_table(self.rows, self.cols, self.boundary).shape[1]
         if max_degree * self.epsilon >= 1.0:
             raise ConfigError(
                 f"dissipative coupling violated: degree {max_degree} * epsilon "

@@ -134,6 +134,14 @@ class TestDominantModes:
         with pytest.raises(ConfigError):
             dominant_modes(result, 0)
 
+    def test_takes_the_columns_in_order(self):
+        # columns 0 and 1 tie in |b|, column 0 at the higher frequency:
+        # the column order is the ranking, with no tie-break of its own
+        result = make_result([-0.2 + 3j, -0.2 + 1j, -0.5], amps=[2.0, 2.0, 1.0])
+        entries = dominant_modes(result, 2)
+        assert [int(np.argmax(np.abs(e.mode))) for e in entries] == [0, 1]
+        assert [e.eigenvalue for e in entries] == result.eigenvalues_discrete[:2].tolist()
+
 
 class TestDetectTransition:
     def _windows(self, max_amps):
@@ -196,6 +204,10 @@ class TestSplitTimescales:
         slow, fast = split_timescales(make_result([-0.3]))
         assert slow == [0] and fast == []
 
+    def test_rejects_a_result_without_modes(self):
+        with pytest.raises(ConfigError, match="no retained eigenvalues"):
+            split_timescales(make_result([]))
+
     def test_identical_rates_all_slow(self):
         slow, fast = split_timescales(make_result([-0.3, -0.3, -0.3]))
         assert slow == [0, 1, 2] and fast == []
@@ -246,6 +258,14 @@ class TestZeroFrequencyMode:
         result = make_result([-1e-9], amps=[100.0])
         assert zero_frequency_mode(result).index == 0
 
+    def test_takes_the_first_qualifying_column(self):
+        # the relaxing columns 2 and 3 tie in |b|, as do the static ones
+        # 1 and 2 of the second result
+        result = make_result([-0.2 + 3j, -1e-9, -0.5, -0.3], amps=[2.0, 1.5, 1.0, 1.0])
+        assert zero_frequency_mode(result).index == 2
+        result = make_result([-0.2 + 3j, -1e-9, -2e-9], amps=[2.0, 1.0, 1.0])
+        assert zero_frequency_mode(result).index == 1
+
     def test_not_found_on_pure_rotation(self):
         w = 0.7
         r = np.array([[np.cos(w), -np.sin(w)], [np.sin(w), np.cos(w)]])
@@ -274,6 +294,11 @@ class TestSpatialPattern:
         assert pattern.entries[0][0] == "a"
         with pytest.raises(ConfigError):
             spatial_pattern(np.array([1.0, 2.0]), labels=["a"])
+
+    @pytest.mark.parametrize("mode", [np.array([]), np.ones((2, 3))], ids=["empty", "2-D"])
+    def test_rejects_a_mode_that_is_no_vector(self, mode):
+        with pytest.raises(ConfigError, match="non-empty 1-D vector"):
+            spatial_pattern(mode)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_mode_is_a_domain_error(self, value):

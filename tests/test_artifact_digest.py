@@ -41,14 +41,14 @@ def test_value_diff(dirs):
     stats = artifact_digest.value_diff(*dirs)
     # identical files are left out: only spectrum_w1.csv's 2 rows count
     assert stats["spectrum_w*.csv", "im_lambda"] == {
-        "cells": 2, "moved": 1, "max_abs": 0.0, "max_rel": 0.0, "flips": 1}
+        "cells": 2, "moved": 1, "max_abs": 0.0, "max_rel": 0.0, "max_scaled": 0.0, "flips": 1}
     assert stats["spectrum_w*.csv", "amplitude"] == {
-        "cells": 2, "moved": 1, "max_abs": 1.0, "max_rel": 0.5, "flips": 0}
+        "cells": 2, "moved": 1, "max_abs": 1.0, "max_rel": 0.5, "max_scaled": 0.5, "flips": 0}
     for col in ("re_lambda", "group"):
         assert stats["spectrum_w*.csv", col]["moved"] == 0
     # every line of the missing file moved
     assert stats["report.md", "(line)"] == {
-        "cells": 3, "moved": 3, "max_abs": 0.0, "max_rel": 0.0, "flips": 0}
+        "cells": 3, "moved": 3, "max_abs": 0.0, "max_rel": 0.0, "max_scaled": 0.0, "flips": 0}
     assert not any(kind == "modes_w*.csv" for kind, _ in stats)
 
 
@@ -60,10 +60,23 @@ def test_reports(dirs, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[:3] == ["cfg  report.md  missing", "cfg  spectrum_w1.csv  changed",
                          "2 of 4 files differ"]
-    assert lines[3:] == ["kind  column  cells  moved  max_abs  max_rel  sign_flips",
-                         "report.md  (line)  3  3  0  0  0",
-                         "spectrum_w*.csv  amplitude  2  1  1  0.5  0",
-                         "spectrum_w*.csv  im_lambda  2  1  0  0  1"]
+    assert lines[3:] == ["kind  column  cells  moved  max_abs  max_rel  max_scaled  sign_flips",
+                         "report.md  (line)  3  3  0  0  0  0",
+                         "spectrum_w*.csv  amplitude  2  1  1  0.5  0.5  0",
+                         "spectrum_w*.csv  im_lambda  2  1  0  0  0  1"]
+
+
+def test_scaled_move_reads_a_cell_against_its_column(tmp_path):
+    # window 0's cell near 0 moves by 7e-14, a relative move of 1 but
+    # 1.4e-13 of its column's 0.5; window 1's column has its own scale,
+    # 1e-3, against which its move of 1e-4 reads 0.1
+    old = write(tmp_path / "old", {"modes_w0.csv": "mode,re_v\nd1,0.5\nd1,7e-14\n",
+                                   "modes_w1.csv": "mode,re_v\nd1,1e-3\nd1,5e-4\n"})
+    new = write(tmp_path / "new", {"modes_w0.csv": "mode,re_v\nd1,0.5\nd1,1.4e-13\n",
+                                   "modes_w1.csv": "mode,re_v\nd1,1e-3\nd1,6e-4\n"})
+    stats = artifact_digest.value_diff(old, new)["modes_w*.csv", "re_v"]
+    assert stats["max_rel"] == pytest.approx(1.0)
+    assert stats["max_scaled"] == pytest.approx(0.1)
 
 
 def test_keep_must_be_new_or_empty(dirs):

@@ -2,10 +2,12 @@
 
 import contextlib
 import importlib
+import itertools
 import logging
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -90,6 +92,18 @@ def test_rejects_non_finite_first_or_last_entry(value, index):
     data[index, index] = value
     with pytest.raises(ConfigError, match="non-finite"):
         SnapshotMatrix(data=data)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: SnapshotMatrix(data=np.ones(5)), "must be 2-D"),
+    (lambda: SnapshotMatrix(data=np.ones((3, 2, 2))), "must be 2-D"),
+    (lambda: SnapshotMatrix(data=np.ones((1, 3))), "at least 2 snapshots"),
+    (lambda: SnapshotMatrix(data=np.ones((4, 0))), "at least 1 node column"),
+    (lambda: dmd(np.ones(5), np.ones(5)), "must be 2-D"),
+], ids=["record-1-D", "record-3-D", "record-one-row", "record-no-column", "dmd-1-D"])
+def test_rejects_input_of_the_wrong_shape(make, message):
+    with pytest.raises(ConfigError, match=message):
+        make()
 
 
 @pytest.mark.parametrize("shape", [(1, 0), (2, 0), (100, 0)])
@@ -222,6 +236,38 @@ class TestOneBlasThread:
         with pytest.raises(DegenerateDataError):
             dmd(np.zeros((40, 99)), np.zeros((40, 99)))
         assert seen == [1]
+        assert threads() == 2
+
+    def test_concurrent_calls_take_turns(self, monkeypatch, threads):
+        # the first call waits in its pinned body until a second one has
+        # entered its own, or 0.5 s has passed, and the second until the
+        # first has returned: pins that overlapped would see the first
+        # one's restore, and the second would restore the first one's 1
+        entered, returned = threading.Event(), threading.Event()
+        order, seen, basis = itertools.count(), [], dmd_module._basis
+
+        def held_basis(x, rank):
+            if next(order) == 0:
+                entered.wait(0.5)
+            else:
+                entered.set()
+                returned.wait(0.5)
+            seen.append(threads())
+            return basis(x, rank)
+
+        def call():
+            dmd(x, xp)
+            returned.set()
+
+        monkeypatch.setattr(dmd_module, "_basis", held_basis)
+        x, xp = prescribed_window(np.random.default_rng(2), 40, 99, np.geomspace(1.0, 0.1, 40))
+        workers = [threading.Thread(target=call) for _ in range(2)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(10)
+            assert not worker.is_alive()
+        assert seen == [1, 1]
         assert threads() == 2
 
     def test_without_openblas_runs_and_warns_once(self, monkeypatch, caplog, tmp_path):

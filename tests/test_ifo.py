@@ -282,7 +282,7 @@ class TestLattice:
 
     @pytest.mark.parametrize("name, value", [
         ("gamma", np.nan), ("gamma", np.inf), ("epsilon", np.nan), ("epsilon", np.inf),
-        ("dt", np.nan), ("dt", np.inf), ("seed", -1),
+        ("dt", np.nan), ("dt", np.inf), ("seed", -1), ("rows", 0),
     ])
     def test_config_rejects_non_finite_values_and_negative_seed(self, name, value):
         # a single node has degree 0, so the coupling bound alone cannot
@@ -294,8 +294,8 @@ class TestLattice:
 
 
     def test_coupling_bound_uses_lattice_max_degree(self):
-        # IfoParams computes the maximum degree without building the
-        # lattice; epsilon = 1/degree must be rejected naming that degree
+        # IfoParams takes the maximum degree from the lattice's neighbor
+        # table; epsilon = 1/degree must be rejected naming that degree
         for boundary in ("open", "periodic"):
             for rows in range(1, 8):
                 for cols in range(1, 8):

@@ -348,14 +348,16 @@ class TestAnalysisCells:
         assert [repr(v) for v in rows[1][2:4]] == ["nan", "nan"]
         assert rows[1][6] == "excluded"
 
-    def test_repeated_mode_column_is_matched_by_bits(self):
+    def test_equal_columns_keep_their_own_text(self):
         # -0.0 == 0.0, so matching columns by value would write the
-        # second column with the first one's "0.0"
+        # second column with the first one's "0.0"; a column named twice
+        # is written the same both times
         zero, negative = np.array([0j, 0.5 + 0.25j]), np.array([complex(-0.0, 0.0), 0.5 + 0.25j])
         assert np.array_equal(zero, negative)
-        named = [("dominant_1", zero), ("dominant_2", negative), ("zero_frequency", zero)]
-        assert _mode_lines(["n0", "n1"], named) == [
-            line for name, mode in named for line in mode_oracle(name, ["n0", "n1"], mode)]
+        modes = np.column_stack([zero, negative])
+        named = [("dominant_1", 0), ("dominant_2", 1), ("zero_frequency", 0)]
+        assert _mode_lines(["n0", "n1"], modes, named) == [
+            line for name, j in named for line in mode_oracle(name, ["n0", "n1"], modes[:, j])]
 
     def test_abs_is_the_scalar_hypot(self, tmp_path):
         # np.abs over a complex array rounds this value's last digit
@@ -365,7 +367,7 @@ class TestAnalysisCells:
         assert repr(float(np.abs(np.array([v]))[0])) == "0.09177938484664798"
         path = tmp_path / "modes.csv"
         write_csv(path, ["mode", "node", "re_v", "im_v", "abs_v"],
-                  _mode_lines(["n0"], [("dominant_1", np.array([v]))]))
+                  _mode_lines(["n0"], np.array([[v]]), [("dominant_1", 0)]))
         assert path.read_text().splitlines()[1] == (
             "dominant_1,n0,0.09107391910860078,0.011357673222502935,0.091779384846648")
 
