@@ -1,6 +1,7 @@
-"""SHA-256 of every artifact `koopnet pipeline` writes, for fixed configurations.
+"""SHA-256 of every artifact koopnet's CLI writes, for fixed configurations.
 
-Runs the pipeline for each configuration below in a temporary directory
+Runs the pipeline for each configuration in CONFIGS, and `simulate`
+then `analyze` for each in ANALYZE_CONFIGS, in a temporary directory,
 and prints one line per artifact: ``config  file  sha256``. Saving that
 output before a refactor and comparing after it shows whether the
 refactor changed any artifact byte:
@@ -97,20 +98,44 @@ CONFIGS = {
 }
 
 
+# (simulate flags, analyze flags): `analyze` reads the written
+# snapshots.csv back, and meta.csv for dt, a path no pipeline run takes,
+# and writes its artifacts beside the record
+ANALYZE_CONFIGS = {
+    "bs-n100-seed2-analyze": (["--model", "bs", "--n", "100", "--steps", "4000",
+                               "--seed", "2"], []),
+    "ifo-8x8-seed5-analyze": (["--model", "ifo", "--rows", "8", "--cols", "8",
+                               "--steps", "1200", "--seed", "5"],
+                              ["--window", "150", "--stride", "75"]),
+}
+
+
+def commands(name: str, out: Path) -> list[list[str]]:
+    """The koopnet.cli argument lists that write config `name`'s
+    artifacts to out, in order."""
+    if name in CONFIGS:
+        return [["pipeline", *CONFIGS[name], "--out", str(out)]]
+    simulate, analyze = ANALYZE_CONFIGS[name]
+    return [["simulate", *simulate, "--out", str(out)],
+            ["analyze", str(out / "snapshots.csv"), *analyze]]
+
+
 def run_all(src: Path, base: Path) -> None:
-    """One pipeline run per config, into base/<config>."""
+    """The runs of every config, each into base/<config>."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    for name, args in CONFIGS.items():
-        cmd = [sys.executable, "-m", "koopnet.cli", "pipeline", *args, "--out", str(base / name)]
-        proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise SystemExit(f"{name}: pipeline exited {proc.returncode}\n{proc.stderr}")
+    for name in [*CONFIGS, *ANALYZE_CONFIGS]:
+        for args in commands(name, base / name):
+            proc = subprocess.run([sys.executable, "-m", "koopnet.cli", *args],
+                                  env=env, capture_output=True, text=True)
+            if proc.returncode != 0:
+                raise SystemExit(f"{name}: {args[0]} exited {proc.returncode}\n{proc.stderr}")
 
 
 def artifacts(base: Path) -> dict[tuple[str, str], Path]:
     """(config, file) -> path of every artifact under base/<config>, in
-    CONFIGS order, then any other config's in name order."""
-    rank = {name: i for i, name in enumerate(CONFIGS)}
+    CONFIGS then ANALYZE_CONFIGS order, then any other config's in name
+    order."""
+    rank = {name: i for i, name in enumerate([*CONFIGS, *ANALYZE_CONFIGS])}
     configs = sorted((d for d in base.iterdir() if d.is_dir()),
                      key=lambda d: (rank.get(d.name, len(rank)), d.name))
     return {(config.name, path.name): path

@@ -8,7 +8,6 @@ from .analysis import (
     SpatialPattern,
     TransitionReport,
     WindowAnalysis,
-    ZeroFrequencyMode,
     detect_transition,
     dominant_modes,
     spatial_pattern,

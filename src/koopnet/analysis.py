@@ -17,7 +17,7 @@ import numpy as np
 from .dmd import DmdResult, dmd
 from .dmd import build_snapshot_pairs  # noqa: F401  (bound by bench/spans.py)
 from .errors import (ConfigError, DegenerateDataError, DomainError, InsufficientDataError,
-                     NotFoundError)
+                     NotFoundError, _check_int)
 from .snapshots import SnapshotMatrix, default_labels
 
 
@@ -52,9 +52,14 @@ class TransitionReport:
 
 
 class ModeEntry(NamedTuple):
+    """Column `index` of a DmdResult: its discrete and continuous (mu,
+    NaN for a zero-flagged column) eigenvalues, its mode and amplitude."""
+
     eigenvalue: complex
     mode: np.ndarray
     amplitude: complex
+    mu: complex
+    index: int
 
 
 @dataclass
@@ -67,10 +72,9 @@ class SpatialPattern:
 
 
 def _check_windows(window_len: int, stride: int | None) -> None:
-    if window_len < 2:
-        raise ConfigError(f"window_len must be >= 2, got {window_len}")
-    if stride is not None and stride < 1:
-        raise ConfigError(f"stride must be >= 1, got {stride}")
+    _check_int("window_len", window_len, 2)
+    if stride is not None:
+        _check_int("stride", stride, 1)
 
 
 # detect_transition's default, and the CLI's: see its docstring
@@ -148,19 +152,17 @@ def _stream_windows(blocks, windows: list[WindowAnalysis], dt: float, window_len
         held = [(f, b) for f, b in held if f + b.shape[0] > start]
 
 
+def _entry(result: DmdResult, k: int) -> ModeEntry:
+    return ModeEntry(eigenvalue=complex(result.eigenvalues_discrete[k]), mode=result.modes[:, k],
+                     amplitude=complex(result.amplitudes[k]),
+                     mu=complex(result.eigenvalues_continuous[k]), index=k)
+
+
 def dominant_modes(result: DmdResult, k: int) -> list[ModeEntry]:
     """The first k modes in dominance order (see DmdResult): columns
     0..k-1. k larger than the retained rank is clamped."""
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    return [
-        ModeEntry(
-            eigenvalue=complex(result.eigenvalues_discrete[i]),
-            mode=result.modes[:, i],
-            amplitude=complex(result.amplitudes[i]),
-        )
-        for i in range(min(k, result.rank))
-    ]
+    _check_int("k", k, 1)
+    return [_entry(result, i) for i in range(min(k, result.rank))]
 
 
 def detect_transition(windows: list[WindowAnalysis],
@@ -209,15 +211,7 @@ def split_timescales(result: DmdResult) -> tuple[list[int], list[int]]:
     return slow, fast
 
 
-class ZeroFrequencyMode(NamedTuple):
-    eigenvalue: complex
-    mu: complex
-    mode: np.ndarray
-    amplitude: complex
-    index: int
-
-
-def zero_frequency_mode(result: DmdResult) -> ZeroFrequencyMode:
+def zero_frequency_mode(result: DmdResult) -> ModeEntry:
     """The governing zero-frequency mode: the first, in dominance order
     (see DmdResult), of the modes whose continuous eigenvalue has |Im mu|
     below 1e-6 of the Nyquist frequency pi/dt, a bound that scales with
@@ -236,15 +230,9 @@ def zero_frequency_mode(result: DmdResult) -> ZeroFrequencyMode:
     ]
     if not candidates:
         raise NotFoundError("no eigenvalue within the zero-frequency tolerance")
-    best = next((k for k in candidates if abs(result.eigenvalues_discrete[k] - 1.0) > 0.01),
-                candidates[0])
-    return ZeroFrequencyMode(
-        eigenvalue=complex(result.eigenvalues_discrete[best]),
-        mu=complex(result.eigenvalues_continuous[best]),
-        mode=result.modes[:, best],
-        amplitude=complex(result.amplitudes[best]),
-        index=best,
-    )
+    return _entry(result, next((k for k in candidates
+                                if abs(result.eigenvalues_discrete[k] - 1.0) > 0.01),
+                               candidates[0]))
 
 
 def spatial_pattern(mode: np.ndarray, labels: list[str] | None = None) -> SpatialPattern:

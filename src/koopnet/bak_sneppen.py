@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientDataError
-from .snapshots import _BLOCK_ROWS, SnapshotMatrix, _check_steps, _rows
+from .errors import InsufficientDataError, _check_int
+from .snapshots import _BLOCK_ROWS, SnapshotMatrix, _rows
 
 
 @dataclass(frozen=True)
@@ -26,10 +26,8 @@ class BsParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ConfigError(f"ring size must be >= 3, got {self.n}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        _check_int("ring size", self.n, 3)
+        _check_int("seed", self.seed, 0)
 
 
 def _replace_minimum(fitness: np.ndarray, draws) -> int:
@@ -68,7 +66,7 @@ def simulate_bs(params: BsParams, n_iterations: int) -> tuple[SnapshotMatrix, li
     fitness vector after every update and the replaced minimum index of
     every step. Deterministic for a fixed (params, n_iterations):
     PCG64 seeded with params.seed, one 3-draw block per step."""
-    _check_steps("n_iterations", n_iterations)
+    _check_int("n_iterations", n_iterations, 2)
     min_history: list[int] = []
     snaps = _rows(_states(params, min_history), n_iterations, params.n)
     return SnapshotMatrix(data=snaps, dt=1.0), min_history
@@ -81,8 +79,7 @@ def estimate_threshold(snapshots: SnapshotMatrix, burn_in: int) -> float:
     A low quantile rather than the pooled minimum is robust to the small
     sub-threshold population contributed by in-flight avalanches.
     """
-    if burn_in < 0:
-        raise ConfigError(f"burn_in must be >= 0, got {burn_in}")
+    _check_int("burn_in", burn_in, 0)
     tail = snapshots.data[burn_in:]
     if tail.shape[0] < 100:
         raise InsufficientDataError(

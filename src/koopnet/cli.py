@@ -20,10 +20,9 @@ from . import bak_sneppen, ifo
 from . import io as kio
 from .bak_sneppen import BsParams
 from .bak_sneppen import simulate_bs  # noqa: F401  (bound by bench/spans.py)
-from .dmd import _check_dt, _check_rank
-from .errors import KoopnetError
+from .errors import DomainError, KoopnetError, _check_int, _check_positive
 from .ifo import IfoParams
-from .snapshots import _blocks, _check_steps, default_labels
+from .snapshots import _blocks, default_labels
 
 ENV_OUT = "KOOPNET_OUT"
 
@@ -74,11 +73,12 @@ def cmd_simulate(args: argparse.Namespace,
     return args.steps, labels, dt, windows
 
 
-def _spectrum_rows(result, slow, fast):
-    """One spectrum row per retained mode, from Python scalars; a
+def _spectrum_rows(result, amps, slow, fast):
+    """One spectrum row per retained mode, from Python scalars, with its
+    amplitude from `amps` (the window's dominant_amplitudes); a
     zero-flagged mode's re_mu and im_mu are NaN, its group 'excluded'."""
     columns = (result.eigenvalues_discrete.tolist(), result.eigenvalues_continuous.tolist(),
-               result.amplitude_magnitudes().tolist(),
+               amps.tolist(),
                np.linalg.norm(result.modes, axis=0).tolist(), result.zero_flags.tolist())
     for k, (lam, mu, amp, norm, zero) in enumerate(zip(*columns)):
         group = "excluded" if zero else "slow" if k in slow else "fast"
@@ -117,7 +117,8 @@ def cmd_analyze(record: tuple, args: argparse.Namespace) -> None:
         top5 = w.dominant_amplitudes[:5].tolist()
         amp_rows.append((w.window_index, float(w.max_amplitude), *top5, *[""] * (5 - len(top5))))
         kio.write_csv(out / f"spectrum_w{w.window_index}.csv", _SPECTRUM_HEADER,
-                      [] if w.degenerate else _spectrum_rows(w.result, w.slow_group, w.fast_group))
+                      [] if w.degenerate else _spectrum_rows(w.result, w.dominant_amplitudes,
+                                                             w.slow_group, w.fast_group))
         if w.degenerate:
             warnings.append(f"window {w.window_index}: {w.note}")
             continue
@@ -209,7 +210,7 @@ def _read_record(args: argparse.Namespace) -> tuple:
             dt = float(meta.get("dt", 1.0))
         except ValueError as exc:
             raise kio.FileFormatError(f"{meta_path}: dt: {exc}") from None
-    _check_dt(dt)
+    _check_positive("dt", dt, DomainError)
     labels, blocks = kio.read_snapshots(path)
     windows = []
     blocks = ana._stream_windows(blocks, windows, dt, args.window, args.stride, args.rank)
@@ -277,10 +278,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command != "simulate":
             args.rank = args.rank or None  # 0: the data-driven numerical rank
             ana._check_windows(args.window, args.stride)
-            _check_rank(args.rank)
+            if args.rank is not None:
+                _check_int("requested rank", args.rank, 1)
             ana._check_jump_threshold(args.jump_threshold)
         if args.command != "analyze":
-            _check_steps("steps", args.steps)
+            _check_int("steps", args.steps, 2)
         if args.command == "simulate":
             cmd_simulate(args)
         elif args.command == "analyze":

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateDataError, DomainError
+from .errors import ConfigError, DegenerateDataError, DomainError, _check_int, _check_positive
 from .snapshots import SnapshotMatrix, _all_finite
 
 
@@ -184,16 +184,6 @@ def _svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (a, s, small) if m >= n else (small, s, a)
 
 
-def _check_rank(rank: int | None) -> None:
-    if rank is not None and rank < 1:
-        raise ConfigError(f"requested rank must be >= 1, got {rank}")
-
-
-def _check_dt(dt: float) -> None:
-    if not 0 < dt < np.inf:
-        raise DomainError(f"dt must be finite and > 0, got {dt}")
-
-
 # The Gram matrix's eigenvalues give sigma_r^2 to a relative error of
 # about eps * (sigma_1 / sigma_r)^2, 2e-10 at this ratio; below it the SVD
 # gives the basis. At 1e-4 a 64x64 IFO window with sigma_16/sigma_1 =
@@ -318,8 +308,9 @@ def dmd(x: np.ndarray, xp: np.ndarray, rank: int | None = None, dt: float = 1.0)
         raise ConfigError(f"shape mismatch: {x.shape} vs {xp.shape}")
     if x.ndim != 2:
         raise ConfigError("snapshot pair matrices must be 2-D")
-    _check_rank(rank)
-    _check_dt(dt)
+    if rank is not None:
+        _check_int("requested rank", rank, 1)
+    _check_positive("dt", dt, DomainError)
 
     if x.size and not (_all_finite(x) and _all_finite(xp)):
         raise DomainError("snapshot pair matrices must be finite")

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
-from .snapshots import SnapshotMatrix, _check_steps, _rows
+from .errors import ConfigError, DomainError, _check_int, _check_positive
+from .snapshots import SnapshotMatrix, _rows
 
 
 @dataclass(frozen=True)
@@ -37,17 +37,14 @@ class IfoParams:
     seed: int = 0
 
     def __post_init__(self):
-        # chained comparisons are False for NaN, so these reject it too
-        if not 0 < self.gamma < np.inf:
-            raise ConfigError(f"gamma must be finite and > 0, got {self.gamma}")
+        _check_positive("gamma", self.gamma)
+        # a chained comparison is False for NaN, so this rejects it too
         if not 0 <= self.epsilon < np.inf:
             raise ConfigError(f"epsilon must be finite and >= 0, got {self.epsilon}")
-        if not 0 < self.dt < np.inf:
-            raise ConfigError(f"dt must be finite and > 0, got {self.dt}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.rows < 1 or self.cols < 1:
-            raise ConfigError(f"lattice must be >= 1x1, got {self.rows}x{self.cols}")
+        _check_positive("dt", self.dt)
+        _check_int("seed", self.seed, 0)
+        _check_int("rows", self.rows, 1)
+        _check_int("cols", self.cols, 1)
         if self.boundary not in ("open", "periodic"):
             raise ConfigError(f"boundary must be 'open' or 'periodic', got {self.boundary!r}")
         max_degree = _neighbor_table(self.rows, self.cols, self.boundary).shape[1]
@@ -145,8 +142,7 @@ def _checked(x, gamma, name: str) -> np.ndarray:
     """`x` as a float array, once gamma is finite and > 0 and every entry
     of `x` lies in [0, 1]; NaN fails both checks."""
     x = np.asarray(x, dtype=float)
-    if not 0 < gamma < np.inf:
-        raise DomainError(f"gamma must be finite and > 0, got {gamma}")
+    _check_positive("gamma", gamma, DomainError)
     if not np.all((x >= 0) & (x <= 1)):
         raise DomainError(f"{name} outside [0, 1]")
     return x
@@ -287,7 +283,7 @@ def simulate_ifo(params: IfoParams, n_steps: int) -> tuple[SnapshotMatrix, list[
     seeded with params.seed; runs are bit-reproducible for a fixed
     parameter set.
     """
-    _check_steps("n_steps", n_steps)
+    _check_int("n_steps", n_steps, 2)
     records: list[AvalancheRecord] = []
     snaps = _rows(_states(params, records), n_steps, params.n_nodes)
     return SnapshotMatrix(data=snaps, dt=params.dt), records

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _check_positive
 
 # Rows per block of a record streamed from a simulator, and per write and
 # changed-cell batch of its CSV: enough to amortize the per-call cost of
@@ -15,11 +15,6 @@ from .errors import ConfigError
 # a 4000-row BS pipeline, peak RSS rose 0.26 MB with 512-row batches and
 # 0.16 MB with 64 (BENCH_12.json), at equal speed.
 _BLOCK_ROWS = 64
-
-
-def _check_steps(name: str, n_steps: int) -> None:
-    if n_steps < 2:
-        raise ConfigError(f"{name} must be >= 2, got {n_steps}")
 
 
 def _rows(states, count: int, n: int) -> np.ndarray:
@@ -67,8 +62,7 @@ class SnapshotMatrix:
             raise ConfigError("need at least 1 node column")
         if not _all_finite(self.data):
             raise ConfigError("snapshot data contains non-finite entries")
-        if not 0 < self.dt < np.inf:
-            raise ConfigError(f"dt must be finite and > 0, got {self.dt}")
+        _check_positive("dt", self.dt)
 
     @property
     def n_snapshots(self) -> int:

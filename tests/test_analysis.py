@@ -143,6 +143,29 @@ class TestDominantModes:
         assert [e.eigenvalue for e in entries] == result.eigenvalues_discrete[:2].tolist()
 
 
+class TestModeEntry:
+    def test_entries_are_the_result_columns(self):
+        # a decaying mode, a static background and a direction gone after
+        # one step, whose zero-flagged column has mu = NaN
+        k = np.arange(30)
+        data = (np.outer(0.9 ** k, [1.0, 2.0, 0.0, 1.0]) + np.outer(np.ones(30), [0.5, 0, 1, 0])
+                + np.outer(k == 0, [0.0, 1.0, -1.0, 3.0]))
+        result = dmd_of_snapshots(SnapshotMatrix(data=data))
+        assert result.zero_flags.any()
+
+        def bits(entry):
+            return (np.complex128(entry.eigenvalue).tobytes(), entry.mode.tobytes(),
+                    np.complex128(entry.amplitude).tobytes(), np.complex128(entry.mu).tobytes(),
+                    entry.index)
+
+        entries = dominant_modes(result, result.rank)
+        for j, entry in enumerate(entries):
+            assert entry.index == j
+            assert np.complex128(entry.mu).tobytes() == result.eigenvalues_continuous[j].tobytes()
+        zf = zero_frequency_mode(result)
+        assert bits(zf) == bits(entries[zf.index])
+
+
 class TestDetectTransition:
     def _windows(self, max_amps):
         snaps = SnapshotMatrix(data=np.full((10, 2), 1.5))

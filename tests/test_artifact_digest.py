@@ -1,4 +1,5 @@
-"""scripts/artifact_digest.py's value diff, on hand-made artifact directories."""
+"""scripts/artifact_digest.py: its value diff, on hand-made artifact
+directories, and its two kinds of run."""
 
 import importlib.util
 from pathlib import Path
@@ -83,3 +84,20 @@ def test_keep_must_be_new_or_empty(dirs):
     with pytest.raises(SystemExit) as exc:
         artifact_digest.main(["--keep", str(dirs[0])])
     assert exc.value.code == 2
+
+
+def test_simulate_then_analyze_writes_the_pipeline_bytes(tmp_path, monkeypatch):
+    # the same tiny IFO run both ways; analyze takes the non-default dt
+    # from meta.csv beside the record it reads back
+    simulate = ["--model", "ifo", "--rows", "3", "--cols", "3", "--steps", "300",
+                "--seed", "1", "--dt", "0.03"]
+    monkeypatch.setattr(artifact_digest, "CONFIGS", {"piped": [*simulate, "--window", "100"]})
+    monkeypatch.setattr(artifact_digest, "ANALYZE_CONFIGS",
+                        {"read": (simulate, ["--window", "100"])})
+    artifact_digest.run_all(SCRIPT.parent.parent / "src", tmp_path)
+    found = artifact_digest.digests(tmp_path)
+    assert list(found)[0][0] == "piped"
+    piped = {name: digest for (config, name), digest in found.items() if config == "piped"}
+    read = {name: digest for (config, name), digest in found.items() if config == "read"}
+    assert {"snapshots.csv", "spectrum_w2.csv", "report.md"} <= piped.keys()
+    assert read == piped

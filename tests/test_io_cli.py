@@ -342,7 +342,7 @@ class TestAnalysisCells:
                            eigenvalues_continuous=_log_map(lambdas, zero, 1.0),
                            modes=np.eye(2, dtype=complex), amplitudes=np.array([2.0, 1.0 + 0j]),
                            singular_values=np.array([1.0, 0.5]), dt=1.0, zero_flags=zero)
-        rows = list(_spectrum_rows(result, [0], []))
+        rows = list(_spectrum_rows(result, result.amplitude_magnitudes(), [0], []))
         assert rows[0][2:4] == (np.log(0.5 + 0.25j).real, np.log(0.5 + 0.25j).imag)
         assert rows[0][6] == "slow"
         assert [repr(v) for v in rows[1][2:4]] == ["nan", "nan"]

@@ -6,7 +6,7 @@ EXPORTS = [
     "AvalancheRecord", "BsParams", "ConfigError", "DegenerateDataError", "DmdResult",
     "DomainError", "IfoParams", "InsufficientDataError", "KoopnetError",
     "ModeEntry", "NotFoundError", "SnapshotMatrix", "SpatialPattern", "TransitionReport",
-    "WindowAnalysis", "ZeroFrequencyMode", "build_snapshot_pairs",
+    "WindowAnalysis", "build_snapshot_pairs",
     "detect_transition", "dmd", "dmd_of_snapshots", "dominant_modes", "energy_of_phase",
     "estimate_threshold", "phase_of_energy", "reconstruct",
     "simulate_bs", "simulate_ifo", "spatial_pattern", "split_timescales",
