@@ -85,20 +85,18 @@ def _spectrum_rows(result, amps, slow, fast):
         yield (lam.real, lam.imag, mu.real, mu.imag, amp, norm, group)
 
 
-def _mode_lines(labels: list[str], modes: np.ndarray, named) -> list[str]:
-    """The modes_w*.csv lines of (name, column index) pairs of `modes`. A
-    column named twice (the zero-frequency mode is often a dominant one
-    too) is formatted once. Python's abs(complex), like numpy's scalar
-    abs, is hypot(re, im); np.abs over a complex array can round the
-    last bit differently."""
-    lines: list[str] = []
+def _mode_lines(labels: list[str], modes: np.ndarray, named):
+    """Yield the modes_w*.csv lines of (name, column index) pairs of
+    `modes`. A column named twice (the zero-frequency mode is often a
+    dominant one too) is formatted once. Python's abs(complex), like
+    numpy's scalar abs, is hypot(re, im); np.abs over a complex array
+    can round the last bit differently."""
     cells: dict[int, list[str]] = {}
     for name, j in named:
         if j not in cells:
             cells[j] = [f"{node},{v.real!r},{v.imag!r},{abs(v)!r}"
                         for node, v in zip(labels, modes[:, j].tolist())]
-        lines += [f"{name},{cell}" for cell in cells[j]]
-    return lines
+        yield from (f"{name},{cell}" for cell in cells[j])
 
 
 def cmd_analyze(record: tuple, args: argparse.Namespace) -> None:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import numbers
 import os
 import threading
 from contextlib import contextmanager
@@ -86,10 +85,8 @@ def build_snapshot_pairs(snapshots: SnapshotMatrix) -> tuple[np.ndarray, np.ndar
     """Split a T x N record into the N x (T-1) matrices X (snapshots
     0..T-2 as columns) and Xp (snapshots 1..T-1), so each Xp column is
     the one-step image of the matching X column. Both are views of the
-    record's data, not copies."""
+    record's data, not copies; the record has at least 2 snapshots."""
     data = snapshots.data
-    if data.shape[0] < 2:
-        raise ConfigError("need at least 2 snapshots to form pairs")
     return data[:-1].T, data[1:].T
 
 
@@ -255,7 +252,7 @@ def _kernel(x: np.ndarray, rank: int | None,
     r = r_num if rank is None else min(rank, r_num)
     # C-ordered factors, as np.linalg.svd's: BLAS products round
     # differently on F-ordered ones
-    return np.ascontiguousarray(u[:, :r]), s, np.ascontiguousarray(vh[:r]).conj().T
+    return np.ascontiguousarray(u[:, :r]), s, np.ascontiguousarray(vh[:r]).T
 
 
 def _gram_basis(x: np.ndarray, want: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -322,7 +319,7 @@ def dmd(x: np.ndarray, xp: np.ndarray, rank: int | None = None, dt: float = 1.0)
         r = u_r.shape[1]
         b_mat = xp @ v_r
         b_mat /= s[:r]                            # Xp V S^-1
-        a_tilde = u_r.conj().T @ b_mat
+        a_tilde = u_r.T @ b_mat
         lambdas, w = np.linalg.eig(a_tilde)
         lambdas = lambdas.astype(complex)   # eig returns float when all real
         w = w.astype(complex)
@@ -368,14 +365,10 @@ def _log_map(lambdas: np.ndarray, zero: np.ndarray, dt: float) -> np.ndarray:
 
 def reconstruct(result: DmdResult, k: int) -> np.ndarray:
     """DMD-predicted snapshot at step index k (real part of the mode
-    expansion sum_j b_j lambda_j^k v_j). A k that is not an integral
-    number raises ConfigError, a negative one DomainError, and so does a
-    lambda^k or prediction that is not finite, as for |lambda| > 1 at
-    large k."""
-    if not (isinstance(k, numbers.Integral) or float(k).is_integer()):
-        raise ConfigError(f"step index must be an integer, got {k}")
-    if k < 0:
-        raise DomainError(f"step index must be >= 0, got {k}")
+    expansion sum_j b_j lambda_j^k v_j). A k that is not an integer
+    (numpy's too) >= 0 raises ConfigError; a lambda^k or prediction that
+    is not finite, as for |lambda| > 1 at large k, raises DomainError."""
+    _check_int("step index", k, 0)
     with np.errstate(over="ignore", invalid="ignore"):
         powers = result.eigenvalues_discrete ** int(k)
         prediction = np.real(result.modes @ (result.amplitudes * powers))

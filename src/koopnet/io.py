@@ -8,8 +8,8 @@ Python ints and floats, and a float is written as its repr, the shortest
 decimal that round-trips, so identical runs produce byte-identical files
 and reads reproduce binary64 values exactly. Callers format each value
 once: they pass Python scalars (from `.tolist()`), not numpy scalars, or
-lines they built from them. Lines are written `_BLOCK_ROWS` at a time,
-and every file is written atomically (temp file + rename).
+lines they built from them. Lines are written as they are made, and
+every file is written atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -55,19 +55,16 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 
 def write_csv(path: Path, header: list[str], rows: Iterable[str | Iterable]) -> None:
-    """Write a header and rows atomically, `_BLOCK_ROWS` lines per
-    write. A `str` row is a ready line and passes through as is; any
-    other row is a sequence of cells, each written as str(cell). Cells
-    are strings, which pass through unchanged, or Python ints and
-    floats; for a Python float str() is repr(), the shortest decimal
-    that round-trips. `rows` is iterated once."""
-    rows = iter(rows)
+    """Write a header and rows atomically, each line as it is made. A
+    `str` row is a ready line and passes through as is; any other row is
+    a sequence of cells, each written as str(cell). Cells are strings,
+    which pass through unchanged, or Python ints and floats; for a
+    Python float str() is repr(), the shortest decimal that round-trips.
+    `rows` is iterated once."""
     with _atomic_open(path) as fh:
         fh.write(",".join(header) + "\n")
-        while block := [row if isinstance(row, str) else ",".join(map(str, row))
-                        for row in islice(rows, _BLOCK_ROWS)]:
-            block.append("")
-            fh.write("\n".join(block))
+        fh.writelines((row if isinstance(row, str) else ",".join(map(str, row))) + "\n"
+                      for row in rows)
 
 
 def _snapshot_lines(blocks: Iterable[np.ndarray]):
@@ -90,14 +87,13 @@ def _snapshot_lines(blocks: Iterable[np.ndarray]):
                 np.not_equal(bits[0], prev, out=changed[0])
             np.not_equal(bits[1:], bits[:-1], out=changed[1:])
             prev = bits[-1]
-            cols = np.nonzero(changed)[1].tolist()
-            texts = list(map(repr, rows[changed].tolist()))
-            begin = 0
-            for end in np.cumsum(changed.sum(axis=1)).tolist():
-                for j, text in zip(cols[begin:end], texts[begin:end]):
+            # (column, text) of each changed cell, formatted as the rows are pulled
+            texts = zip(np.nonzero(changed)[1].tolist(), map(repr, rows[changed].tolist()))
+            for count in changed.sum(axis=1).tolist():
+                for j, text in islice(texts, count):
                     cells[j] = text
                 yield ",".join(cells)
-                begin = end
+            del texts   # its lists, before the next batch builds its own
 
 
 def write_snapshots(path: Path, labels: list[str], blocks: Iterable[np.ndarray]) -> None:

@@ -9,11 +9,11 @@ import numpy as np
 
 from .errors import ConfigError, _check_positive
 
-# Rows per block of a record streamed from a simulator, and per write and
+# Rows per block of a record streamed from a simulator, and per
 # changed-cell batch of its CSV: enough to amortize the per-call cost of
-# a write or of numpy, few enough to keep a block and its texts small. On
-# a 4000-row BS pipeline, peak RSS rose 0.26 MB with 512-row batches and
-# 0.16 MB with 64 (BENCH_12.json), at equal speed.
+# numpy, few enough to keep a block and its texts small. On a 4000-row
+# BS pipeline, peak RSS rose 0.26 MB with 512-row blocks and 0.16 MB
+# with 64 (BENCH_12.json), at equal speed.
 _BLOCK_ROWS = 64
 
 

@@ -356,7 +356,7 @@ class TestAnalysisCells:
         assert np.array_equal(zero, negative)
         modes = np.column_stack([zero, negative])
         named = [("dominant_1", 0), ("dominant_2", 1), ("zero_frequency", 0)]
-        assert _mode_lines(["n0", "n1"], modes, named) == [
+        assert list(_mode_lines(["n0", "n1"], modes, named)) == [
             line for name, j in named for line in mode_oracle(name, ["n0", "n1"], modes[:, j])]
 
     def test_abs_is_the_scalar_hypot(self, tmp_path):

@@ -14,6 +14,8 @@ from koopnet import BsParams, ConfigError, IfoParams, SnapshotMatrix, simulate_b
 from koopnet import bak_sneppen, ifo, snapshots
 from koopnet.analysis import _stream_windows, windowed_dmd
 from koopnet.cli import main
+from koopnet.io import write_snapshots
+from koopnet.snapshots import default_labels
 
 
 def bs_record(n, steps, seed):
@@ -205,3 +207,21 @@ def test_analyze_memory_does_not_grow_with_the_record(tmp_path):
     # come, so it holds no more of the record than the pipeline does
     grow = analyze_peak(tmp_path / "long", 8000) - analyze_peak(tmp_path / "short", 2000)
     assert grow < 0.5 * 6000 * 100 * 8
+
+
+def test_snapshot_writer_streams_its_lines(tmp_path):
+    # every cell changes from row to row, as on an IFO lattice. One
+    # block's changed columns and values, as Python ints and floats, take
+    # about 10 times its bytes of float64 at the peak. A writer that kept
+    # them until the next block's were built took about 19 times; one
+    # that also formatted the whole block, and joined its lines before
+    # writing them, about 30
+    rng = np.random.default_rng(0)
+    blocks = [rng.random((snapshots._BLOCK_ROWS, 4096)) for _ in range(2)]
+    tracemalloc.start()
+    try:
+        write_snapshots(tmp_path / "snapshots.csv", default_labels(4096), iter(blocks))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15 * blocks[0].nbytes
