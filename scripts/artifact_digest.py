@@ -32,8 +32,10 @@ with the number of cells that moved, the largest absolute and relative
 move among the cells that kept their sign, the largest such move over
 its file column's largest old magnitude, and the number of sign flips.
 A CSV file's columns are its header's; any other file is compared line
-by line, as one column named ``(line)``. It exits 1 if any file
-differs. Stdlib only; each run is a separate
+by line, as one column named ``(line)``. A file that holds the golden's
+lines in another order is listed as ``reordered`` instead of changed,
+counted per file kind, and left out of the column lines. It exits 1 if
+any file differs. Stdlib only; each run is a separate
 ``python -m koopnet.cli`` process.
 """
 
@@ -49,6 +51,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from contextlib import nullcontext
 from itertools import zip_longest
 from pathlib import Path
@@ -169,10 +172,40 @@ def number(cell: str | None) -> float | None:
         return None
 
 
+def kind(name: str) -> str:
+    """The file kind of an artifact name: modes_w3.csv -> modes_w*.csv."""
+    return re.sub(r"_w\d+", "_w*", name)
+
+
+def changed(old: Path, new: Path):
+    """(config, file), old path, new path of each artifact whose bytes
+    differ between two directories laid out as --keep saves them; the
+    path is None on the side that lacks the file."""
+    before, after = artifacts(old), artifacts(new)
+    for key in sorted(before.keys() | after.keys()):
+        p, q = before.get(key), after.get(key)
+        if not (p and q and p.read_bytes() == q.read_bytes()):
+            yield key, p, q
+
+
+def permuted(p: Path | None, q: Path | None) -> bool:
+    """Whether two files both exist and hold the same lines in another
+    order."""
+    return bool(p and q) and (sorted(p.read_text(encoding="utf-8").splitlines())
+                              == sorted(q.read_text(encoding="utf-8").splitlines()))
+
+
+def reordered(old: Path, new: Path) -> list[tuple[str, str]]:
+    """(config, file) of each changed artifact whose lines are only
+    reordered."""
+    return [key for key, p, q in changed(old, new) if permuted(p, q)]
+
+
 def value_diff(old: Path, new: Path) -> dict[tuple[str, str], dict]:
     """(file kind, column) -> {'cells', 'moved', 'max_abs', 'max_rel',
     'max_scaled', 'flips'} over the artifacts whose bytes differ between
-    two directories laid out as --keep saves them. A cell moved if its
+    two directories laid out as --keep saves them, other than those
+    whose lines are only reordered. A cell moved if its
     text changed, or it is on one side only (so every cell of a missing
     or new file moved). max_abs, max_rel and max_scaled are over the
     moved cells that are finite numbers of the same sign on both sides:
@@ -181,17 +214,15 @@ def value_diff(old: Path, new: Path) -> dict[tuple[str, str], dict]:
     file, so a cell near 0 in a column of O(1) values reads small. A
     sign flip is a move between two nonzero numbers of opposite sign."""
     stats: dict[tuple[str, str], dict] = {}
-    before_files, after_files = artifacts(old), artifacts(new)
-    for key in sorted(before_files.keys() | after_files.keys()):
-        p, q = before_files.get(key), after_files.get(key)
-        if p and q and p.read_bytes() == q.read_bytes():
+    for key, p, q in changed(old, new):
+        if permuted(p, q):
             continue
         before, after = table(p), table(q)
-        kind = re.sub(r"_w\d+", "_w*", key[1])
         for col in list(before) + [c for c in after if c not in before]:
             a, b = before.get(col, []), after.get(col, [])
-            s = stats.setdefault((kind, col), {"cells": 0, "moved": 0, "max_abs": 0.0,
-                                               "max_rel": 0.0, "max_scaled": 0.0, "flips": 0})
+            s = stats.setdefault((kind(key[1]), col),
+                                 {"cells": 0, "moved": 0, "max_abs": 0.0,
+                                  "max_rel": 0.0, "max_scaled": 0.0, "flips": 0})
             s["cells"] += max(len(a), len(b))
             scale = max((abs(u) for u in map(number, a) if u is not None and math.isfinite(u)),
                         default=0.0)
@@ -233,28 +264,37 @@ def read_digests(path: Path) -> tuple[str | None, dict[tuple[str, str], str]]:
     return header, out
 
 
-def report_files(golden: dict[tuple[str, str], str], current: dict[tuple[str, str], str]) -> int:
+def report_files(golden: dict[tuple[str, str], str], current: dict[tuple[str, str], str],
+                 reordered_keys=()) -> int:
     """Print each file whose digest differs, is missing or is new, and
-    a count; return the number of such files."""
+    a count; return the number of such files. A file in `reordered_keys`
+    (see reordered) is printed as reordered, not changed."""
     differing = 0
     for key in sorted(golden.keys() | current.keys()):
         old, new = golden.get(key), current.get(key)
         if old == new:
             continue
         differing += 1
-        state = "missing" if new is None else "new" if old is None else "changed"
+        state = ("missing" if new is None else "new" if old is None
+                 else "reordered" if key in reordered_keys else "changed")
         print(f"{key[0]}  {key[1]}  {state}")
     print(f"{differing} of {len(golden.keys() | current.keys())} files differ")
     return differing
 
 
-def report_values(stats: dict[tuple[str, str], dict]) -> None:
-    """Print value_diff's lines for the columns with moved cells."""
+def report_values(stats: dict[tuple[str, str], dict], reordered_keys=()) -> None:
+    """Print value_diff's lines for the columns with moved cells, then
+    the number of files of each kind in `reordered_keys` (see reordered)."""
     print("kind  column  cells  moved  max_abs  max_rel  max_scaled  sign_flips")
-    for (kind, col), s in sorted(stats.items()):
+    for (name, col), s in sorted(stats.items()):
         if s["moved"]:
-            print(f"{kind}  {col}  {s['cells']}  {s['moved']}  {s['max_abs']:.3g}  "
+            print(f"{name}  {col}  {s['cells']}  {s['moved']}  {s['max_abs']:.3g}  "
                   f"{s['max_rel']:.3g}  {s['max_scaled']:.3g}  {s['flips']}")
+    counts = Counter(kind(name) for _, name in reordered_keys)
+    if counts:
+        print("kind  reordered_files")
+        for name, n in sorted(counts.items()):
+            print(f"{name}  {n}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -289,11 +329,12 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"warning: environment differs from {args.compare}:\n"
                       f"  golden: {header or '(no environment line)'}\n"
                       f"  now:    {env}", file=sys.stderr)
+            reordered_keys = []
         else:
-            golden = digests(args.diff_values)
-        differing = report_files(golden, current)
+            golden, reordered_keys = digests(args.diff_values), reordered(args.diff_values, base)
+        differing = report_files(golden, current, reordered_keys)
         if args.diff_values is not None:
-            report_values(value_diff(args.diff_values, base))
+            report_values(value_diff(args.diff_values, base), reordered_keys)
     return 1 if differing else 0
 
 

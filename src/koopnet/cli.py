@@ -1,14 +1,15 @@
 """Command-line front end: simulate, analyze, and the combined pipeline.
 
-Artifacts are plain CSV plus a human-readable report; meta.csv captures
-every parameter (including the seed) needed to re-run an experiment
-exactly. The default output directory comes from the KOOPNET_OUT
-environment variable, falling back to the current directory.
+Artifacts are plain CSV plus a human-readable report. meta.csv, all a
+re-run needs, holds every field of the run's IfoParams or BsParams in
+field order, plus model, dt and steps. The default output directory
+comes from the KOOPNET_OUT environment variable, else the current one.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -43,19 +44,11 @@ def cmd_simulate(args: argparse.Namespace,
         params = IfoParams(gamma=args.gamma, epsilon=args.epsilon, rows=args.rows,
                            cols=args.cols, dt=args.dt, boundary=args.boundary, seed=args.seed)
         model, n_nodes, dt, write_events = ifo, params.n_nodes, params.dt, kio.write_ifo_events
-        meta = {
-            "model": "ifo", "rows": params.rows, "cols": params.cols,
-            "epsilon": params.epsilon, "gamma": params.gamma, "dt": params.dt,
-            "boundary": params.boundary, "steps": args.steps,
-            "seed": params.seed,
-        }
     else:
         params = BsParams(n=args.n, seed=args.seed)
         model, n_nodes, dt, write_events = bak_sneppen, params.n, 1.0, kio.write_bs_events
-        meta = {
-            "model": "bs", "n": params.n, "dt": dt,
-            "steps": args.steps, "seed": params.seed,
-        }
+    # every field of the run's parameters, in field order (IfoParams' dt keeps its place)
+    meta = {"model": args.model, **dataclasses.asdict(params), "dt": dt, "steps": args.steps}
     blocks = _blocks(model._states(params, events), args.steps, n_nodes)
     if windows is not None:
         ana._check_length(args.steps, args.window)
@@ -110,6 +103,8 @@ def cmd_analyze(record: tuple, args: argparse.Namespace) -> None:
 
     warnings: list[str] = []
     amp_rows = []
+    table = []  # report.md's row of each window
+    focus = None  # the last analyzable window up to the transition
     for w in windows:
         # a degenerate window has no amplitudes: NaN maximum, blank top 5
         top5 = w.dominant_amplitudes[:5].tolist()
@@ -117,9 +112,15 @@ def cmd_analyze(record: tuple, args: argparse.Namespace) -> None:
         kio.write_csv(out / f"spectrum_w{w.window_index}.csv", _SPECTRUM_HEADER,
                       [] if w.degenerate else _spectrum_rows(w.result, w.dominant_amplitudes,
                                                              w.slow_group, w.fast_group))
+        steps = f"| {w.window_index} | {w.start_step}-{w.end_step}"
         if w.degenerate:
             warnings.append(f"window {w.window_index}: {w.note}")
+            table.append(f"{steps} | - | degenerate | - | - |")
             continue
+        table.append(f"{steps} | {w.result.rank} | {w.max_amplitude:.4g} "
+                     f"| {len(w.slow_group)} | {len(w.fast_group)} |")
+        if report.transition_window is None or w.window_index <= report.transition_window:
+            focus = w
 
         # the columns in dominance order (see DmdResult): dominant_1 is column 0
         named = [(f"dominant_{j + 1}", j) for j in range(min(5, w.result.rank))]
@@ -143,13 +144,15 @@ def cmd_analyze(record: tuple, args: argparse.Namespace) -> None:
 
     kio.atomic_write_text(out / "report.md",
                           _render_report(f"{n_snapshots} x {len(labels)}, dt = {dt}",
-                                         windows, report, warnings, args.jump_threshold))
+                                         table, focus, report, warnings, args.jump_threshold))
 
 
-def _render_report(shape: str, windows, report, warnings, jump_threshold) -> str:
+def _render_report(shape: str, table, focus, report, warnings, jump_threshold) -> str:
+    """report.md's text, from cmd_analyze's table rows (one per window)
+    and `focus`, the window whose dominant mode's groups it lists."""
     lines = ["# Windowed spectral analysis", ""]
     lines.append(f"- snapshots: {shape}")
-    lines.append(f"- windows analyzed: {len(windows)}")
+    lines.append(f"- windows analyzed: {len(table)}")
     if report.transition_window is not None:
         lines.append(f"- **transition detected** at window {report.transition_window} "
                      f"(amplitude jump x{report.jump_ratio:.3g}, threshold "
@@ -157,20 +160,8 @@ def _render_report(shape: str, windows, report, warnings, jump_threshold) -> str
     else:
         lines.append("- no transition detected "
                      f"(threshold x{jump_threshold:.3g})")
-    lines.append("")
-    lines.append("| window | steps | rank | max amplitude | slow | fast |")
-    lines.append("|---|---|---|---|---|---|")
-    for w in windows:
-        if w.degenerate:
-            lines.append(f"| {w.window_index} | {w.start_step}-{w.end_step} "
-                         "| - | degenerate | - | - |")
-        else:
-            lines.append(f"| {w.window_index} | {w.start_step}-{w.end_step} "
-                         f"| {w.result.rank} | {w.max_amplitude:.4g} "
-                         f"| {len(w.slow_group)} | {len(w.fast_group)} |")
-    focus = next((w for w in reversed(windows)
-                  if not w.degenerate and (report.transition_window is None
-                                           or w.window_index <= report.transition_window)), None)
+    lines += ["", "| window | steps | rank | max amplitude | slow | fast |",
+              "|---|---|---|---|---|---|", *table]
     if focus is not None:
         pattern = ana.spatial_pattern(focus.result.modes[:, 0])
         sizable = [g for g in pattern.groups if len(g) > 1]

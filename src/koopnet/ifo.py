@@ -47,10 +47,9 @@ class IfoParams:
         _check_int("cols", self.cols, 1)
         if self.boundary not in ("open", "periodic"):
             raise ConfigError(f"boundary must be 'open' or 'periodic', got {self.boundary!r}")
-        # a node's degree along an axis depends only on whether the axis
-        # has 1, 2 or at least 3 sites, so a lattice clamped to 3 x 3 has
-        # the whole lattice's maximum degree
-        max_degree = _neighbor_table(min(self.rows, 3), min(self.cols, 3), self.boundary).shape[1]
+        # along an axis of 1, 2 or >= 3 sites the most neighbors a node has
+        # is 0, 1 or 2 under either boundary, and some node has both maxima
+        max_degree = min(self.rows - 1, 2) + min(self.cols - 1, 2)
         if max_degree * self.epsilon >= 1.0:
             raise ConfigError(
                 f"dissipative coupling violated: degree {max_degree} * epsilon "

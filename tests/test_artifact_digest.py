@@ -101,3 +101,26 @@ def test_simulate_then_analyze_writes_the_pipeline_bytes(tmp_path, monkeypatch):
     read = {name: digest for (config, name), digest in found.items() if config == "read"}
     assert {"snapshots.csv", "spectrum_w2.csv", "report.md"} <= piped.keys()
     assert read == piped
+
+
+def test_reordered_file_is_counted_not_diffed(tmp_path, capsys):
+    # meta.csv holds the same lines in another order; events.csv swaps
+    # two values between its rows, so its lines are no permutation of
+    # the old ones and its cells are reported as moved
+    old = write(tmp_path / "old", {"meta.csv": "key,value\nmodel,bs\nn,100\nseed,0\ndt,1.0\n",
+                                   "events.csv": "iteration,min_index\n0,3\n1,5\n"})
+    new = write(tmp_path / "new", {"meta.csv": "key,value\nmodel,bs\nn,100\ndt,1.0\nseed,0\n",
+                                   "events.csv": "iteration,min_index\n0,5\n1,3\n"})
+    keys = artifact_digest.reordered(old, new)
+    assert keys == [("cfg", "meta.csv")]
+    stats = artifact_digest.value_diff(old, new)
+    assert not any(kind == "meta.csv" for kind, _ in stats)
+    assert stats["events.csv", "min_index"]["moved"] == 2
+    assert artifact_digest.report_files(artifact_digest.digests(old),
+                                        artifact_digest.digests(new), keys) == 2
+    artifact_digest.report_values(stats, keys)
+    assert capsys.readouterr().out.splitlines() == [
+        "cfg  events.csv  changed", "cfg  meta.csv  reordered", "2 of 2 files differ",
+        "kind  column  cells  moved  max_abs  max_rel  max_scaled  sign_flips",
+        "events.csv  min_index  2  2  2  0.667  0.4  0",
+        "kind  reordered_files", "meta.csv  1"]

@@ -294,8 +294,9 @@ class TestLattice:
 
 
     def test_coupling_bound_uses_lattice_max_degree(self):
-        # IfoParams takes the maximum degree from the lattice's neighbor
-        # table; epsilon = 1/degree must be rejected naming that degree
+        # IfoParams takes the maximum degree in closed form; the lattice's
+        # neighbor table is the oracle, and epsilon = 1/degree must be
+        # rejected naming that degree
         for boundary in ("open", "periodic"):
             for rows in range(1, 8):
                 for cols in range(1, 8):

@@ -1,5 +1,6 @@
 """CSV artifact and command-line interface tests."""
 
+import dataclasses
 import importlib.util
 import sys
 import tempfile
@@ -10,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koopnet import AvalancheRecord, DmdResult, KoopnetError, SnapshotMatrix
+from koopnet import (
+    AvalancheRecord,
+    BsParams,
+    DmdResult,
+    IfoParams,
+    KoopnetError,
+    SnapshotMatrix,
+)
 from koopnet.analysis import dominant_modes, windowed_dmd, zero_frequency_mode
 from koopnet.cli import ENV_OUT, _mode_lines, _spectrum_rows, main
 from koopnet.dmd import _log_map
@@ -409,6 +417,27 @@ class TestCli:
         assert main(["simulate", "--model", "bs", "--steps", "60", "--out", str(out)]) == 0
         meta = read_meta(out / "meta.csv")
         assert (meta["n"], meta["seed"]) == ("100", "0")
+
+    @pytest.mark.parametrize("params, flags", [
+        (IfoParams, ["--model", "ifo", "--rows", "4", "--cols", "5", "--gamma", "3",
+                     "--epsilon", "0.1", "--dt", "0.02", "--boundary", "periodic",
+                     "--seed", "3"]),
+        (BsParams, ["--model", "bs", "--n", "20", "--seed", "4"]),
+    ], ids=["ifo", "bs"])
+    def test_meta_is_enough_to_rerun(self, tmp_path, params, flags):
+        # every parameter differs from its default, so a field missing
+        # from meta.csv falls back to the default on the re-run
+        first, again = tmp_path / "first", tmp_path / "again"
+        analysis = ["--window", "100"]
+        assert main(["pipeline", *flags, "--steps", "300", *analysis,
+                     "--out", str(first)]) == 0
+        meta = read_meta(first / "meta.csv")
+        fields = [f.name for f in dataclasses.fields(params)]
+        assert list(meta) == list(dict.fromkeys(["model", *fields, "dt", "steps"]))
+        rerun = [cell for key, value in meta.items() for cell in (f"--{key}", value)]
+        assert main(["pipeline", *rerun, *analysis, "--out", str(again)]) == 0
+        for name in ("snapshots.csv", "events.csv", "meta.csv"):
+            assert (again / name).read_bytes() == (first / name).read_bytes()
 
     def test_simulate_bs_artifacts(self, tmp_path):
         out = tmp_path / "run"
