@@ -2,41 +2,36 @@
 
 Runs the pipeline for each configuration in CONFIGS, and `simulate`
 then `analyze` for each in ANALYZE_CONFIGS, in a temporary directory,
-and prints one line per artifact: ``config  file  sha256``. Saving that
-output before a refactor and comparing after it shows whether the
-refactor changed any artifact byte:
+and prints a ``#`` line naming the environment the bits were made in
+(the numpy version, the CPU count and the BLAS thread variables), then
+one line per artifact: ``config  file  sha256``.
 
-    python3 scripts/artifact_digest.py > golden.txt          # before
-    python3 scripts/artifact_digest.py --compare golden.txt  # after
+A refactor that should not move any artifact byte is checked against a
+golden run of its parent:
 
-The first line is a ``#`` comment naming the environment the bits were
-made in: the numpy version, the CPU count and the BLAS thread
-variables.
+    python3 scripts/artifact_digest.py --src ../parent/src --keep golden/  # before
+    python3 scripts/artifact_digest.py --diff-values golden/              # after
 
-``--compare`` prints every file whose digest differs, is missing or is
-new, and exits 1 if there is any; it warns on stderr when the golden
-file's environment line differs from this run's. ``--src`` picks the
-source tree koopnet is imported from (default: this checkout's
-``src/``), so two checkouts can be compared without installing either.
+``--src`` picks the source tree koopnet is imported from (default: this
+checkout's ``src/``), so two checkouts can be compared without
+installing either. ``--keep DIR`` saves the run's artifacts as
+``DIR/<config>/<file>`` (DIR must be new or empty) and its environment
+line as ``DIR/environment.txt``.
 
-``--keep DIR`` saves the run's artifacts as ``DIR/<config>/<file>``
-(DIR must be new or empty), and ``--diff-values DIR`` compares the
-run's values against artifacts saved that way:
-
-    python3 scripts/artifact_digest.py --keep golden/ > golden.txt  # before
-    python3 scripts/artifact_digest.py --diff-values golden/        # after
-
-It prints each changed, missing or new file, then one line per file
-kind (``modes_w*.csv`` stands for every window's modes file) and column
-with the number of cells that moved, the largest absolute and relative
-move among the cells that kept their sign, the largest such move over
-its file column's largest old magnitude, and the number of sign flips.
-A CSV file's columns are its header's; any other file is compared line
-by line, as one column named ``(line)``. A file that holds the golden's
-lines in another order is listed as ``reordered`` instead of changed,
-counted per file kind, and left out of the column lines. It exits 1 if
-any file differs. Stdlib only; each run is a separate
-``python -m koopnet.cli`` process.
+``--diff-values DIR`` compares the run against artifacts saved that
+way. It warns on stderr when the saved environment line differs from
+this run's or is missing. It prints each changed, missing or new file,
+and a count ``N of M files differ``; a file that holds the golden's
+lines in another order is listed as ``reordered``. Then it prints one
+line per file kind (``modes_w*.csv`` stands for every window's modes
+file) and column with the number of cells that moved, the largest
+absolute and relative move among the cells that kept their sign, the
+largest such move over its file column's largest old magnitude, and the
+number of sign flips. A CSV file's columns are its header's; any other
+file is compared line by line, as one column named ``(line)``. A
+reordered file is counted per file kind and left out of the column
+lines. It exits 1 if any file differs. Stdlib only; each run is a
+separate ``python -m koopnet.cli`` process.
 """
 
 from __future__ import annotations
@@ -195,12 +190,6 @@ def permuted(p: Path | None, q: Path | None) -> bool:
                               == sorted(q.read_text(encoding="utf-8").splitlines()))
 
 
-def reordered(old: Path, new: Path) -> list[tuple[str, str]]:
-    """(config, file) of each changed artifact whose lines are only
-    reordered."""
-    return [key for key, p, q in changed(old, new) if permuted(p, q)]
-
-
 def value_diff(old: Path, new: Path) -> dict[tuple[str, str], dict]:
     """(file kind, column) -> {'cells', 'moved', 'max_abs', 'max_rel',
     'max_scaled', 'flips'} over the artifacts whose bytes differ between
@@ -251,40 +240,23 @@ def environment() -> str:
             f"cpu_count={os.cpu_count()} {threads}")
 
 
-def read_digests(path: Path) -> tuple[str | None, dict[tuple[str, str], str]]:
-    """The environment line (None if there is none) and the digests of
-    an earlier output of this script."""
-    header, out = None, {}
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if line.startswith("#"):
-            header = header or line
-        elif line.strip():
-            config, name, digest = line.split()
-            out[config, name] = digest
-    return header, out
-
-
-def report_files(golden: dict[tuple[str, str], str], current: dict[tuple[str, str], str],
-                 reordered_keys=()) -> int:
-    """Print each file whose digest differs, is missing or is new, and
-    a count; return the number of such files. A file in `reordered_keys`
-    (see reordered) is printed as reordered, not changed."""
-    differing = 0
-    for key in sorted(golden.keys() | current.keys()):
-        old, new = golden.get(key), current.get(key)
-        if old == new:
-            continue
-        differing += 1
-        state = ("missing" if new is None else "new" if old is None
-                 else "reordered" if key in reordered_keys else "changed")
-        print(f"{key[0]}  {key[1]}  {state}")
-    print(f"{differing} of {len(golden.keys() | current.keys())} files differ")
-    return differing
+def report_files(old: Path, new: Path) -> dict[tuple[str, str], str]:
+    """Print each artifact whose bytes differ between two directories
+    laid out as --keep saves them, as changed, missing, new or reordered
+    (the same lines in another order), and a count; return (config,
+    file) -> that state for each such file."""
+    states = {key: ("missing" if q is None else "new" if p is None
+                    else "reordered" if permuted(p, q) else "changed")
+              for key, p, q in changed(old, new)}
+    for (config, name), state in states.items():
+        print(f"{config}  {name}  {state}")
+    print(f"{len(states)} of {len(artifacts(old).keys() | artifacts(new).keys())} files differ")
+    return states
 
 
 def report_values(stats: dict[tuple[str, str], dict], reordered_keys=()) -> None:
     """Print value_diff's lines for the columns with moved cells, then
-    the number of files of each kind in `reordered_keys` (see reordered)."""
+    the number of files of each kind in `reordered_keys`."""
     print("kind  column  cells  moved  max_abs  max_rel  max_scaled  sign_flips")
     for (name, col), s in sorted(stats.items()):
         if s["moved"]:
@@ -299,11 +271,8 @@ def report_values(stats: dict[tuple[str, str], dict], reordered_keys=()) -> None
 
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    against = p.add_mutually_exclusive_group()
-    against.add_argument("--compare", type=Path, default=None,
-                         help="earlier output of this script to compare against")
-    against.add_argument("--diff-values", type=Path, default=None,
-                         help="artifacts saved by --keep to compare values against")
+    p.add_argument("--diff-values", type=Path, default=None,
+                   help="artifacts saved by --keep to compare against")
     p.add_argument("--keep", type=Path, default=None,
                    help="new or empty directory to save the artifacts in")
     p.add_argument("--src", type=Path, default=ROOT / "src",
@@ -311,31 +280,33 @@ def main(argv: list[str] | None = None) -> int:
     args = p.parse_args(argv)
     if args.keep is not None and args.keep.exists() and any(args.keep.iterdir()):
         p.error(f"--keep {args.keep} is not empty")
+    if args.diff_values is not None and not args.diff_values.is_dir():
+        p.error(f"--diff-values {args.diff_values} is no directory")
 
     with (nullcontext(args.keep) if args.keep is not None
           else tempfile.TemporaryDirectory(prefix="koopnet-digest-")) as base:
         base = Path(base)
         base.mkdir(parents=True, exist_ok=True)
         run_all(args.src.resolve(), base)
-        current, env = digests(base), environment()
-        if args.compare is None and args.diff_values is None:
+        env = environment()
+        # beside the config directories, which are all artifacts() reads
+        (base / "environment.txt").write_text(env + "\n", encoding="utf-8")
+        if args.diff_values is None:
             print(env)
-            for (config, name), digest in current.items():
+            for (config, name), digest in digests(base).items():
                 print(f"{config}  {name}  {digest}")
             return 0
-        if args.compare is not None:
-            header, golden = read_digests(args.compare)
-            if header != env:
-                print(f"warning: environment differs from {args.compare}:\n"
-                      f"  golden: {header or '(no environment line)'}\n"
-                      f"  now:    {env}", file=sys.stderr)
-            reordered_keys = []
-        else:
-            golden, reordered_keys = digests(args.diff_values), reordered(args.diff_values, base)
-        differing = report_files(golden, current, reordered_keys)
-        if args.diff_values is not None:
-            report_values(value_diff(args.diff_values, base), reordered_keys)
-    return 1 if differing else 0
+        golden = args.diff_values
+        saved = golden / "environment.txt"
+        header = saved.read_text(encoding="utf-8").strip() if saved.exists() else None
+        if header != env:
+            print(f"warning: environment differs from {saved}:\n"
+                  f"  golden: {header or '(no environment line)'}\n"
+                  f"  now:    {env}", file=sys.stderr)
+        states = report_files(golden, base)
+        report_values(value_diff(golden, base),
+                      [key for key, state in states.items() if state == "reordered"])
+    return 1 if states else 0
 
 
 if __name__ == "__main__":

@@ -17,8 +17,9 @@ it is ``layers_<W>`` (dashes as underscores), the per-layer metrics of
 the traced operations. ``--out`` merges that section, the environment
 the workers reported and the command into the file, keeping every other
 key, so one file collects several invocations; without ``--out`` the
-JSON goes to stdout. Every run made is listed under ``runs``. Stdlib
-only.
+JSON goes to stdout. Every run made is listed under ``runs``, and each
+side's commit under ``commits``, with ``+dirty`` appended where
+``git status`` lists changes to the checkout's ``src/``. Stdlib only.
 """
 
 from __future__ import annotations
@@ -46,6 +47,14 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
     env = [json.loads(line[len("# env: "):]) for line in lines if line.startswith("# env: ")]
     result["env"] = env[0] if env else {}
     return result
+
+
+def dirty(checkout: Path) -> bool:
+    """Whether git lists changes to `checkout`'s src/ against its HEAD,
+    the commit its workers report; False outside a git checkout."""
+    proc = subprocess.run(["git", "-C", str(checkout), "status", "--porcelain", "--", "src"],
+                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    return bool(proc.stdout.strip())
 
 
 def summary(values: list[float]) -> dict:
@@ -114,7 +123,8 @@ def main(argv: list[str] | None = None) -> int:
                                    args.workload, "--seeds", *map(str, args.seeds),
                                    "--seconds", f"{args.seconds:g}",
                                    "--trace", str(args.trace)])
-    section["commits"] = {side: envs[side].get("commit", "unknown") for side in sides}
+    section["commits"] = {side: envs[side].get("commit", "unknown")
+                          + ("+dirty" if dirty(sides[side]) else "") for side in sides}
 
     doc = {}
     if args.out is not None and args.out.exists():

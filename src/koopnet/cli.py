@@ -21,11 +21,20 @@ from . import bak_sneppen, ifo
 from . import io as kio
 from .bak_sneppen import BsParams
 from .bak_sneppen import simulate_bs  # noqa: F401  (bound by bench/spans.py)
-from .errors import DomainError, KoopnetError, _check_int, _check_positive
+from .errors import ConfigError, DomainError, KoopnetError, _check_int, _check_positive
 from .ifo import IfoParams
 from .snapshots import _blocks, default_labels
 
 ENV_OUT = "KOOPNET_OUT"
+
+# The defaults of the flags each model reads. A Bak-Sneppen step is one
+# update, so its dt is always 1.0; meta.csv records that interval, and a
+# re-run passes it back.
+_MODEL_DEFAULTS = {
+    "ifo": {"rows": 8, "cols": 8, "epsilon": 0.145, "gamma": 2.0, "dt": IfoParams.dt,
+            "boundary": IfoParams.boundary},
+    "bs": {"n": 100, "dt": 1.0},
+}
 
 
 # Columns of spectrum_w<k>.csv, in the order _spectrum_rows yields them.
@@ -46,7 +55,7 @@ def cmd_simulate(args: argparse.Namespace,
         model, n_nodes, dt, write_events = ifo, params.n_nodes, params.dt, kio.write_ifo_events
     else:
         params = BsParams(n=args.n, seed=args.seed)
-        model, n_nodes, dt, write_events = bak_sneppen, params.n, 1.0, kio.write_bs_events
+        model, n_nodes, dt, write_events = bak_sneppen, params.n, args.dt, kio.write_bs_events
     # every field of the run's parameters, in field order (IfoParams' dt keeps its place)
     meta = {"model": args.model, **dataclasses.asdict(params), "dt": dt, "steps": args.steps}
     blocks = _blocks(model._states(params, events), args.steps, n_nodes)
@@ -209,17 +218,31 @@ def _read_record(args: argparse.Namespace) -> tuple:
     return n_snapshots, labels, dt, windows
 
 
+def _model_flags(args: argparse.Namespace) -> None:
+    """Give each flag the chosen model reads and the command line left
+    out its default. A flag only the other model reads is a ConfigError,
+    and so is a Bak-Sneppen dt other than its 1.0."""
+    own = _MODEL_DEFAULTS[args.model]
+    for flag in ("rows", "cols", "epsilon", "gamma", "dt", "boundary", "n"):
+        value = getattr(args, flag)
+        if value is None:
+            setattr(args, flag, own.get(flag))
+        elif flag not in own or (flag == "dt" and args.model == "bs" and value != own["dt"]):
+            raise ConfigError(f"--model {args.model} does not take --{flag} {value}")
+
+
 def _add_sim_args(p: argparse.ArgumentParser) -> None:
+    # the model flags default to None, so that _model_flags sees which were given
     p.add_argument("--model", required=True, choices=["ifo", "bs"])
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--seed", type=int, default=IfoParams.seed)
-    p.add_argument("--rows", type=int, default=8)
-    p.add_argument("--cols", type=int, default=8)
-    p.add_argument("--epsilon", type=float, default=0.145)
-    p.add_argument("--gamma", type=float, default=2.0)
-    p.add_argument("--dt", type=float, default=IfoParams.dt)
-    p.add_argument("--boundary", choices=["open", "periodic"], default=IfoParams.boundary)
-    p.add_argument("--n", type=int, default=100, help="ring size (bs model)")
+    p.add_argument("--rows", type=int, help="lattice rows (ifo model)")
+    p.add_argument("--cols", type=int, help="lattice columns (ifo model)")
+    p.add_argument("--epsilon", type=float, help="energy kick per firing neighbor (ifo model)")
+    p.add_argument("--gamma", type=float, help="concavity of the energy curve (ifo model)")
+    p.add_argument("--dt", type=float, help="snapshot interval (ifo model; bs: 1.0 only)")
+    p.add_argument("--boundary", choices=["open", "periodic"], help="lattice boundary (ifo model)")
+    p.add_argument("--n", type=int, help="ring size (bs model)")
     p.add_argument("--out", type=Path, default=os.environ.get(ENV_OUT, "."),
                    help=f"output directory (default ${ENV_OUT} or .)")
 
@@ -262,8 +285,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         # every flag is checked before any work starts: the analysis flags
-        # before the input is read or the model runs, --steps before the
-        # output directory is made
+        # before the input is read or the model runs, the model's flags and
+        # --steps before the output directory is made
         if args.command != "simulate":
             args.rank = args.rank or None  # 0: the data-driven numerical rank
             ana._check_windows(args.window, args.stride)
@@ -271,6 +294,7 @@ def main(argv: list[str] | None = None) -> int:
                 _check_int("requested rank", args.rank, 1)
             ana._check_jump_threshold(args.jump_threshold)
         if args.command != "analyze":
+            _model_flags(args)
             _check_int("steps", args.steps, 2)
         if args.command == "simulate":
             cmd_simulate(args)

@@ -1,5 +1,5 @@
-"""scripts/artifact_digest.py: its value diff, on hand-made artifact
-directories, and its two kinds of run."""
+"""scripts/artifact_digest.py: its file and value diffs, on hand-made
+artifact directories, its two kinds of run, and the golden-run check."""
 
 import importlib.util
 from pathlib import Path
@@ -55,8 +55,7 @@ def test_value_diff(dirs):
 
 def test_reports(dirs, capsys):
     old, new = dirs
-    assert artifact_digest.report_files(artifact_digest.digests(old),
-                                        artifact_digest.digests(new)) == 2
+    assert len(artifact_digest.report_files(old, new)) == 2
     artifact_digest.report_values(artifact_digest.value_diff(old, new))
     lines = capsys.readouterr().out.splitlines()
     assert lines[:3] == ["cfg  report.md  missing", "cfg  spectrum_w1.csv  changed",
@@ -111,16 +110,66 @@ def test_reordered_file_is_counted_not_diffed(tmp_path, capsys):
                                    "events.csv": "iteration,min_index\n0,3\n1,5\n"})
     new = write(tmp_path / "new", {"meta.csv": "key,value\nmodel,bs\nn,100\ndt,1.0\nseed,0\n",
                                    "events.csv": "iteration,min_index\n0,5\n1,3\n"})
-    keys = artifact_digest.reordered(old, new)
-    assert keys == [("cfg", "meta.csv")]
+    states = artifact_digest.report_files(old, new)
+    assert states == {("cfg", "events.csv"): "changed", ("cfg", "meta.csv"): "reordered"}
     stats = artifact_digest.value_diff(old, new)
     assert not any(kind == "meta.csv" for kind, _ in stats)
     assert stats["events.csv", "min_index"]["moved"] == 2
-    assert artifact_digest.report_files(artifact_digest.digests(old),
-                                        artifact_digest.digests(new), keys) == 2
-    artifact_digest.report_values(stats, keys)
+    artifact_digest.report_values(stats, [("cfg", "meta.csv")])
     assert capsys.readouterr().out.splitlines() == [
         "cfg  events.csv  changed", "cfg  meta.csv  reordered", "2 of 2 files differ",
         "kind  column  cells  moved  max_abs  max_rel  max_scaled  sign_flips",
         "events.csv  min_index  2  2  2  0.667  0.4  0",
         "kind  reordered_files", "meta.csv  1"]
+
+
+@pytest.fixture
+def tiny(monkeypatch):
+    """One tiny pipeline configuration in place of the digest's runs."""
+    monkeypatch.setattr(artifact_digest, "CONFIGS", {"tiny": [
+        "--model", "bs", "--n", "10", "--steps", "300", "--seed", "1", "--window", "100"]})
+    monkeypatch.setattr(artifact_digest, "ANALYZE_CONFIGS", {})
+
+
+def test_keep_saves_the_environment_line_and_diff_values_passes_the_same_run(tiny, tmp_path,
+                                                                            capsys):
+    golden = tmp_path / "golden"
+    assert artifact_digest.main(["--keep", str(golden)]) == 0
+    env = artifact_digest.environment()
+    assert (golden / "environment.txt").read_text(encoding="utf-8") == env + "\n"
+    assert capsys.readouterr().out.splitlines()[0] == env
+    assert artifact_digest.main(["--diff-values", str(golden)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    files = len(list((golden / "tiny").iterdir()))
+    assert captured.out.splitlines()[0] == f"0 of {files} files differ"
+
+
+@pytest.mark.parametrize("saved", ["# numpy=0.0 cpu_count=1\n", None], ids=["differs", "missing"])
+def test_diff_values_warns_on_another_environment(tiny, tmp_path, capsys, saved):
+    golden = tmp_path / "golden"
+    assert artifact_digest.main(["--keep", str(golden)]) == 0
+    if saved is None:
+        (golden / "environment.txt").unlink()
+    else:
+        (golden / "environment.txt").write_text(saved, encoding="utf-8")
+    capsys.readouterr()
+    # the artifacts are the same bytes, so the check still passes
+    assert artifact_digest.main(["--diff-values", str(golden)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("warning: environment differs from")
+    assert err[1] == f"  golden: {saved.strip() if saved else '(no environment line)'}"
+    assert err[2] == f"  now:    {artifact_digest.environment()}"
+
+
+def test_diff_values_exits_one_on_a_moved_byte(tiny, tmp_path, capsys):
+    golden = tmp_path / "golden"
+    assert artifact_digest.main(["--keep", str(golden)]) == 0
+    with (golden / "tiny" / "report.md").open("a", encoding="utf-8") as fh:
+        fh.write("one more line\n")
+    capsys.readouterr()
+    assert artifact_digest.main(["--diff-values", str(golden)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["tiny  report.md  changed",
+                       f"1 of {len(list((golden / 'tiny').iterdir()))} files differ"]
+    assert "report.md  (line)" in "\n".join(out[2:])

@@ -634,6 +634,28 @@ class TestCli:
         assert f"koopnet: error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "new").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    @pytest.mark.parametrize("model_args, flag", [
+        (["--model", "bs", "--n", "10", "--rows", "3"], "--rows 3"),
+        (["--model", "bs", "--n", "10", "--cols", "3"], "--cols 3"),
+        (["--model", "bs", "--n", "10", "--gamma", "7"], "--gamma 7.0"),
+        (["--model", "bs", "--n", "10", "--epsilon", "0.1"], "--epsilon 0.1"),
+        (["--model", "bs", "--n", "10", "--boundary", "periodic"], "--boundary periodic"),
+        (["--model", "bs", "--n", "10", "--dt", "0.5"], "--dt 0.5"),
+        (["--model", "ifo", "--rows", "3", "--cols", "3", "--n", "50"], "--n 50"),
+    ], ids=["bs-rows", "bs-cols", "bs-gamma", "bs-epsilon", "bs-boundary", "bs-dt", "ifo-n"])
+    def test_other_models_flag_exits_before_making_the_output_dir(self, tmp_path, capsys,
+                                                                  command, model_args, flag):
+        # a flag the chosen model does not read would otherwise be
+        # dropped without a word (bs: a dt other than its 1.0)
+        out = tmp_path / "new"
+        # 450 steps give the pipeline two windows of 200: the flag is the only fault
+        status = main([command, *model_args, "--steps", "450", "--out", str(out)])
+        assert status == 1
+        assert (f"koopnet: error: --model {model_args[1]} does not take {flag}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_invalid_config_exits_one(self, tmp_path, capsys):
         status = main(["simulate", "--model", "ifo", "--steps", "10",
                        "--epsilon", "0.3", "--out", str(tmp_path)])
