@@ -16,6 +16,7 @@ from koopnet import (
     detect_transition,
     simulate_ifo,
     spatial_pattern,
+    split_timescales,
     synchronization_onset,
     windowed_dmd,
 )
@@ -31,11 +32,13 @@ for w in windows:
     if w.degenerate:
         print(f"  {w.window_index:>4} |    - | degenerate")
         continue
+    slow, fast = split_timescales(w.result)
     print(f"  {w.window_index:>4} | {w.result.rank:>4} | {w.max_amplitude:13.4g} "
-          f"| {len(w.slow_group)} / {len(w.fast_group)}")
+          f"| {len(slow)} / {len(fast)}")
 
 onset = synchronization_onset(records, params.n_nodes)
-onset_window = int(onset / params.dt) // 200 if onset is not None else None
+# an avalanche at time t ~ k dt fires in step k, whose settled state is row k - 1
+onset_window = (round(onset / params.dt) - 1) // 200 if onset is not None else None
 print(f"\ntransition flagged at window {report.transition_window} "
       f"(jump x{report.jump_ratio:.3g})")
 print(f"synchronization onset from the avalanche log: window {onset_window}")

@@ -1,9 +1,10 @@
 """Windowed spectral diagnostics over long snapshot records.
 
-Cuts a record into fixed-length windows, decomposes each one, and
-derives regime-shift indicators: dominant-mode amplitude tracking,
-order-of-magnitude amplitude jumps across window boundaries, fast/slow
-eigenvalue group separation, and spatial structure of dominant and
+Cuts a record into fixed-length windows and decomposes each one; a
+window keeps only its place, its DmdResult and its note. The regime-shift
+indicators are read from each result where they are used: dominant-mode
+amplitudes, order-of-magnitude amplitude jumps across window boundaries,
+fast/slow eigenvalue groups, and the spatial structure of dominant and
 zero-frequency modes.
 """
 
@@ -23,23 +24,24 @@ from .snapshots import SnapshotMatrix, default_labels
 
 @dataclass
 class WindowAnalysis:
-    """Spectral summary of one window. A degenerate window (no usable
-    signal) keeps its place in the batch with result=None and an
-    explanatory note."""
+    """One window's place in the record, its DmdResult, from which each
+    statistic of the window is read, and its note. A degenerate window
+    (no usable signal) keeps its place with result=None and a note."""
 
     window_index: int
     start_step: int
     end_step: int
     result: DmdResult | None
-    dominant_amplitudes: np.ndarray
-    max_amplitude: float
-    slow_group: list[int]
-    fast_group: list[int]
     note: str = ""
 
     @property
     def degenerate(self) -> bool:
         return self.result is None
+
+    @property
+    def max_amplitude(self) -> float:
+        """Column 0's |b|·‖v‖, the largest (see DmdResult); NaN if degenerate."""
+        return np.nan if self.result is None else float(self.result.amplitude_magnitudes()[0])
 
 
 @dataclass
@@ -134,20 +136,13 @@ def _stream_windows(blocks, windows: list[WindowAnalysis], dt: float, window_len
                 rows = block[start - first:end - first]
             else:
                 rows = np.concatenate([b[max(start - f, 0):end - f] for f, b in held])
-            result, amps, slow, fast, note = None, np.array([]), [], [], ""
+            result, note = None, ""
             try:
                 # the window's rows pair snapshots start..end-2 with their successors
                 result = dmd(rows[:-1].T, rows[1:].T, rank=rank, dt=dt)
             except DegenerateDataError as exc:
                 note = f"degenerate window: {exc}"
-            else:
-                amps = result.amplitude_magnitudes()
-                slow, fast = split_timescales(result)
-            # the maximum is column 0's, the most dominant (see DmdResult)
-            windows.append(WindowAnalysis(
-                window_index=start // stride, start_step=start, end_step=end, result=result,
-                dominant_amplitudes=amps, max_amplitude=float(amps[0]) if amps.size else np.nan,
-                slow_group=slow, fast_group=fast, note=note))
+            windows.append(WindowAnalysis(start // stride, start, end, result, note))
             start += stride
         held = [(f, b) for f, b in held if f + b.shape[0] > start]
 
@@ -176,16 +171,14 @@ def detect_transition(windows: list[WindowAnalysis],
     """
     _check_jump_threshold(jump_threshold)
     _check_window_count(len(windows))
-    prev = None
+    prev = 0.0  # the last non-degenerate window's max amplitude
     for w in windows:
         if w.degenerate:
             continue
-        if prev is not None and prev.max_amplitude > 0:
-            ratio = w.max_amplitude / prev.max_amplitude
-            if ratio >= jump_threshold:
-                return TransitionReport(transition_window=w.window_index,
-                                        jump_ratio=float(ratio))
-        prev = w
+        amp = w.max_amplitude
+        if prev > 0 and (ratio := amp / prev) >= jump_threshold:
+            return TransitionReport(transition_window=w.window_index, jump_ratio=float(ratio))
+        prev = amp
     return TransitionReport(transition_window=None, jump_ratio=0.0)
 
 

@@ -76,9 +76,9 @@ def cmd_simulate(args: argparse.Namespace,
 
 
 def _spectrum_rows(result, amps, slow, fast):
-    """One spectrum row per retained mode, from Python scalars, with its
-    amplitude from `amps` (the window's dominant_amplitudes); a
-    zero-flagged mode's re_mu and im_mu are NaN, its group 'excluded'."""
+    """One spectrum row per retained mode, from Python scalars: `amps` is
+    result.amplitude_magnitudes(), `slow` and `fast` split_timescales(result);
+    a zero-flagged mode's re_mu and im_mu are NaN, its group 'excluded'."""
     columns = (result.eigenvalues_discrete.tolist(), result.eigenvalues_continuous.tolist(),
                amps.tolist(),
                np.linalg.norm(result.modes, axis=0).tolist(), result.zero_flags.tolist())
@@ -115,19 +115,21 @@ def cmd_analyze(record: tuple, args: argparse.Namespace) -> None:
     table = []  # report.md's row of each window
     focus = None  # the last analyzable window up to the transition
     for w in windows:
-        # a degenerate window has no amplitudes: NaN maximum, blank top 5
-        top5 = w.dominant_amplitudes[:5].tolist()
-        amp_rows.append((w.window_index, float(w.max_amplitude), *top5, *[""] * (5 - len(top5))))
-        kio.write_csv(out / f"spectrum_w{w.window_index}.csv", _SPECTRUM_HEADER,
-                      [] if w.degenerate else _spectrum_rows(w.result, w.dominant_amplitudes,
-                                                             w.slow_group, w.fast_group))
+        spectrum = out / f"spectrum_w{w.window_index}.csv"
         steps = f"| {w.window_index} | {w.start_step}-{w.end_step}"
         if w.degenerate:
+            # no amplitudes: a NaN maximum, a blank top 5 and a header-only spectrum
+            amp_rows.append((w.window_index, np.nan, *[""] * 5))
+            kio.write_csv(spectrum, _SPECTRUM_HEADER, [])
             warnings.append(f"window {w.window_index}: {w.note}")
             table.append(f"{steps} | - | degenerate | - | - |")
             continue
-        table.append(f"{steps} | {w.result.rank} | {w.max_amplitude:.4g} "
-                     f"| {len(w.slow_group)} | {len(w.fast_group)} |")
+        amps = w.result.amplitude_magnitudes()  # column 0's is the maximum (see DmdResult)
+        slow, fast = ana.split_timescales(w.result)
+        top5 = amps[:5].tolist()
+        amp_rows.append((w.window_index, top5[0], *top5, *[""] * (5 - len(top5))))
+        kio.write_csv(spectrum, _SPECTRUM_HEADER, _spectrum_rows(w.result, amps, slow, fast))
+        table.append(f"{steps} | {w.result.rank} | {top5[0]:.4g} | {len(slow)} | {len(fast)} |")
         if report.transition_window is None or w.window_index <= report.transition_window:
             focus = w
 

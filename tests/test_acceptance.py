@@ -123,11 +123,14 @@ def test_criterion_3_spectral_reconfiguration(ifo_runs):
             continue
         checked += 1
         window = windowed_dmd(run["snaps"], window_len=200)[-1]
-        if window.degenerate or not window.fast_group or not window.slow_group:
+        if window.degenerate:
+            continue
+        slow, fast = split_timescales(window.result)
+        if not fast or not slow:
             continue
         mus = window.result.eigenvalues_continuous
-        slow_rates = np.abs(np.real(mus[window.slow_group]))
-        fast_rates = np.abs(np.real(mus[window.fast_group]))
+        slow_rates = np.abs(np.real(mus[slow]))
+        fast_rates = np.abs(np.real(mus[fast]))
         # firing period from the locked avalanche tail
         times = [r.start_time for r in run["records"] if r.size == 64]
         period = float(np.diff(times[-3:]).mean())
@@ -159,7 +162,8 @@ def test_criterion_4_amplitude_jump_transition(ifo_runs):
     for run in ifo_runs["runs"]:
         if run["onset"] is None:
             continue
-        onset_window = int(run["onset"] / run["params"].dt) // 200
+        # an avalanche at time t ~ k dt fires in step k, whose state is row k - 1
+        onset_window = (round(run["onset"] / run["params"].dt) - 1) // 200
         windows = windowed_dmd(run["snaps"], window_len=200, rank=16)
         found = detect_transition(windows, jump_threshold=1e2)
         if (found.transition_window is not None

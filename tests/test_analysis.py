@@ -1,5 +1,7 @@
 """Windowed spectral analysis tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -86,15 +88,16 @@ class TestWindowedDmd:
         windows = windowed_dmd(SnapshotMatrix(data=data), window_len=50)
         assert windows[0].degenerate
         assert "degenerate" in windows[0].note
+        assert np.isnan(windows[0].max_amplitude)
         assert not windows[1].degenerate
 
     def test_amplitudes_sorted_descending(self):
         windows = windowed_dmd(decaying_data(), window_len=100)
         for w in windows:
             # dmd() orders by |b| and the modes have unit norm
-            assert np.all(np.diff(w.dominant_amplitudes) <= 1e-12)
-            assert np.array_equal(w.dominant_amplitudes, w.result.amplitude_magnitudes())
-            assert w.max_amplitude == w.dominant_amplitudes[0]
+            amps = w.result.amplitude_magnitudes()
+            assert np.all(np.diff(amps) <= 1e-12)
+            assert np.float64(w.max_amplitude).tobytes() == amps[0].tobytes()
 
     def test_windows_match_direct_dmd(self):
         # oracle: each overlapping window decomposed on its own
@@ -170,15 +173,11 @@ class TestDetectTransition:
     def _windows(self, max_amps):
         snaps = SnapshotMatrix(data=np.full((10, 2), 1.5))
         base = windowed_dmd(snaps, window_len=5)[0]
-        out = []
-        for i, amp in enumerate(max_amps):
-            w = type(base)(
-                window_index=i, start_step=5 * i, end_step=5 * (i + 1),
-                result=base.result, dominant_amplitudes=np.array([amp]),
-                max_amplitude=amp, slow_group=[0], fast_group=[],
-            )
-            out.append(w)
-        return out
+        # a rank-1 result with unit mode norm, so |b| is the max amplitude
+        return [type(base)(window_index=i, start_step=5 * i, end_step=5 * (i + 1),
+                           result=dataclasses.replace(base.result,
+                                                      amplitudes=np.array([amp + 0j])))
+                for i, amp in enumerate(max_amps)]
 
     def test_flags_first_big_jump(self):
         report = detect_transition(self._windows([0.5, 0.6, 0.4, 5e3, 6e3]))

@@ -19,7 +19,8 @@ from koopnet import (
     KoopnetError,
     SnapshotMatrix,
 )
-from koopnet.analysis import dominant_modes, windowed_dmd, zero_frequency_mode
+from koopnet.analysis import (dominant_modes, split_timescales, windowed_dmd,
+                              zero_frequency_mode)
 from koopnet.cli import ENV_OUT, _mode_lines, _spectrum_rows, main
 from koopnet.dmd import _log_map
 from koopnet.io import (
@@ -286,6 +287,7 @@ def cell(value):
 def spectrum_oracle(window):
     result = window.result
     amps = result.amplitude_magnitudes()
+    slow, _ = split_timescales(result)
     norms = np.linalg.norm(result.modes, axis=0)
     lines = []
     for k in range(result.rank):
@@ -294,7 +296,7 @@ def spectrum_oracle(window):
             mu_cells, group = ["nan", "nan"], "excluded"
         else:
             mu_cells = [cell(np.real(mu)), cell(np.imag(mu))]
-            group = "slow" if k in window.slow_group else "fast"
+            group = "slow" if k in slow else "fast"
         lines.append(",".join([cell(np.real(lam)), cell(np.imag(lam)), *mu_cells,
                                cell(amps[k]), cell(norms[k]), group]))
     return lines
@@ -473,9 +475,19 @@ class TestCli:
         write_record(path, SnapshotMatrix(data=data))
         status = main(["analyze", str(path), "--window", "30", "--rank", "0"])
         assert status == 0
-        report = (tmp_path / "report.md").read_text()
-        assert "Warnings" in report
-        assert "degenerate" in report
+        report = (tmp_path / "report.md").read_text().splitlines()
+        assert "| 0 | 0-30 | - | degenerate | - | - |" in report
+        assert report[report.index("## Warnings") + 1] == (
+            "- window 0: degenerate window: all singular values are below tolerance")
+        # the degenerate window keeps its place in every artifact: a NaN
+        # amplitude row with a blank top 5, a header-only spectrum and no modes
+        amp_lines = (tmp_path / "amplitudes.csv").read_text().splitlines()
+        assert amp_lines[1] == "0,nan,,,,,"
+        assert amp_lines[2].startswith("1,")
+        assert (tmp_path / "spectrum_w0.csv").read_text() == (
+            "re_lambda,im_lambda,re_mu,im_mu,amplitude,mode_norm,group\n")
+        assert not (tmp_path / "modes_w0.csv").exists()
+        assert (tmp_path / "modes_w1.csv").exists()
 
     def test_analyze_writes_header_labels_in_mode_files(self, tmp_path):
         # the labels reach the node column of modes_w*.csv and nothing

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from koopnet import BsParams, ConfigError, IfoParams, SnapshotMatrix, simulate_bs, simulate_ifo
 from koopnet import bak_sneppen, ifo, snapshots
-from koopnet.analysis import _stream_windows, windowed_dmd
+from koopnet.analysis import _stream_windows, split_timescales, windowed_dmd
 from koopnet.cli import main
 from koopnet.io import write_snapshots
 from koopnet.snapshots import default_labels
@@ -39,16 +39,16 @@ def stream(data, block_rows, window_len, stride, rank, dt):
 
 
 def window_bytes(w):
-    """Everything a window's analysis holds, as bytes."""
+    """Everything a window's analysis holds, and the statistics read
+    from it, as bytes."""
     head = (w.window_index, w.start_step, w.end_step, w.note,
-            np.float64(w.max_amplitude).tobytes(), w.slow_group, w.fast_group,
-            w.dominant_amplitudes.tobytes())
+            np.float64(w.max_amplitude).tobytes())
     if w.degenerate:
         return head
     r = w.result
     return head + (r.rank, r.eigenvalues_discrete.tobytes(), r.eigenvalues_continuous.tobytes(),
                    r.modes.tobytes(), r.amplitudes.tobytes(), r.singular_values.tobytes(),
-                   r.zero_flags.tobytes(), r.dt)
+                   r.zero_flags.tobytes(), r.dt, split_timescales(r))
 
 
 def assert_stream_matches_whole(snaps, window_len, stride, rank, block_rows):
