@@ -11,6 +11,9 @@ per side, n/median/q1/q3/min/max over the runs (inclusive quartiles),
 and per metric the pairs the change won (ties count for neither side),
 the change of the median in percent and the parent's interquartile
 range. Which direction is better comes from the change's BENCHMARK.json.
+A metric's ``gain_rule_met`` is true when the change won at least 9 in
+10 of the pairs and its median is better than the parent's by more than
+the parent's interquartile range, both read from the rounded summaries.
 
 With ``--trace 0`` the result is ``end_to_end.<W>``; with ``--trace 1``
 it is ``layers_<W>`` (dashes as underscores), the per-layer metrics of
@@ -69,9 +72,12 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
     p, c = summary(parent), summary(change)
     wins = sum((b < a) if better == "lower" else (b > a) for a, b in zip(parent, change))
     pct = (100.0 * (c["median"] - p["median"]) / p["median"]) if p["median"] else None
+    iqr = round(p["q3"] - p["q1"], 4)
+    gap = round(p["median"] - c["median"] if better == "lower" else c["median"] - p["median"], 4)
     return {"parent": p, "change": c, "change_better_pairs": wins,
             "median_change_pct": None if pct is None else round(pct, 1),
-            "parent_iqr": round(p["q3"] - p["q1"], 4)}
+            "parent_iqr": iqr,
+            "gain_rule_met": 10 * wins >= 9 * len(parent) and gap > iqr}
 
 
 def directions(checkout: Path) -> dict[str, str]:

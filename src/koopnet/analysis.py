@@ -111,15 +111,17 @@ def windowed_dmd(snapshots: SnapshotMatrix, window_len: int,
     _check_length(snapshots.n_snapshots, window_len)
     windows: list[WindowAnalysis] = []
     # the record is one block, so every window is a view of it
-    for _ in _stream_windows([snapshots.data], windows, snapshots.dt, window_len, stride, rank):
+    for _ in _stream_windows([snapshots.data], windows.append, snapshots.dt, window_len, stride,
+                             rank):
         pass
     return windows
 
 
-def _stream_windows(blocks, windows: list[WindowAnalysis], dt: float, window_len: int,
-                    stride: int | None, rank: int | None):
-    """Pass on each row block of a record, in order, then append to
-    `windows` the windowed_dmd analysis of each window its rows complete."""
+def _stream_windows(blocks, consume, dt: float, window_len: int, stride: int | None,
+                    rank: int | None):
+    """Pass on each row block of a record, in order, then call `consume`
+    with the windowed_dmd analysis of each window its rows complete; the
+    stream keeps none of them."""
     # A window inside one block is a view of it. Any other is copied into
     # one C-contiguous array, with the shape and strides of a view of the
     # whole record, so DMD gets the same bits. Only the blocks holding
@@ -142,7 +144,7 @@ def _stream_windows(blocks, windows: list[WindowAnalysis], dt: float, window_len
                 result = dmd(rows[:-1].T, rows[1:].T, rank=rank, dt=dt)
             except DegenerateDataError as exc:
                 note = f"degenerate window: {exc}"
-            windows.append(WindowAnalysis(start // stride, start, end, result, note))
+            consume(WindowAnalysis(start // stride, start, end, result, note))
             start += stride
         held = [(f, b) for f, b in held if f + b.shape[0] > start]
 
@@ -163,7 +165,9 @@ def dominant_modes(result: DmdResult, k: int) -> list[ModeEntry]:
 def detect_transition(windows: list[WindowAnalysis],
                       jump_threshold: float = JUMP_THRESHOLD) -> TransitionReport:
     """Scan consecutive non-degenerate windows for the first boundary
-    where the max mode amplitude jumps by at least `jump_threshold`.
+    where the max mode amplitude jumps by at least `jump_threshold`. It
+    reads each window's window_index, degenerate and max_amplitude only,
+    so any record that carries those will do.
 
     The default threshold of 100x is an order-of-magnitude detector:
     regime transitions in these models show up as multi-decade amplitude

@@ -13,6 +13,7 @@ import dataclasses
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,13 +42,13 @@ _MODEL_DEFAULTS = {
 _SPECTRUM_HEADER = ["re_lambda", "im_lambda", "re_mu", "im_mu", "amplitude", "mode_norm", "group"]
 
 
-def cmd_simulate(args: argparse.Namespace,
-                 windows: list[ana.WindowAnalysis] | None = None) -> tuple:
+def cmd_simulate(args: argparse.Namespace, windows: list[_WindowFiles] | None = None) -> tuple:
     """Run the model the flags name, write snapshots.csv block by block
     as it runs, then events.csv and meta.csv, to the output directory.
     With `windows`, each written block also goes through the windowed
-    analysis, which appends the windows it completes. Returns the
-    record's (n_snapshots, labels, dt) and `windows`."""
+    analysis, which appends the _WindowFiles of the windows it
+    completes. Returns the record's (n_snapshots, labels, dt) and
+    `windows`."""
     events: list = []
     if args.model == "ifo":
         params = IfoParams(gamma=args.gamma, epsilon=args.epsilon, rows=args.rows,
@@ -63,7 +64,7 @@ def cmd_simulate(args: argparse.Namespace,
         ana._check_length(args.steps, args.window)
         stride = args.stride or args.window
         ana._check_window_count(len(range(0, args.steps - args.window + 1, stride)))
-        blocks = ana._stream_windows(blocks, windows, dt, args.window, args.stride, args.rank)
+        blocks = _analyzed(blocks, windows, dt, args)
     # the model parameters and the window plan are checked, and the blocks
     # not yet drawn, before the output directory is made
     out = Path(args.out)
@@ -75,13 +76,68 @@ def cmd_simulate(args: argparse.Namespace,
     return args.steps, labels, dt, windows
 
 
-def _spectrum_rows(result, amps, slow, fast):
-    """One spectrum row per retained mode, from Python scalars: `amps` is
-    result.amplitude_magnitudes(), `slow` and `fast` split_timescales(result);
-    a zero-flagged mode's re_mu and im_mu are NaN, its group 'excluded'."""
-    columns = (result.eigenvalues_discrete.tolist(), result.eigenvalues_continuous.tolist(),
-               amps.tolist(),
-               np.linalg.norm(result.modes, axis=0).tolist(), result.zero_flags.tolist())
+class _WindowFiles(NamedTuple):
+    """What one window's artifacts need, taken from its WindowAnalysis
+    as the window completes, so that its DmdResult can be dropped.
+    detect_transition reads window_index, degenerate and max_amplitude."""
+
+    window_index: int
+    degenerate: bool
+    max_amplitude: float
+    amplitudes: tuple               # its amplitudes.csv row
+    table: str                      # its report.md row
+    warnings: list[str]
+    spectrum: tuple | None          # _spectrum_rows' arguments
+    modes: np.ndarray | None        # the columns modes_w<k>.csv names; 0 is dominant_1
+    named: list[tuple[str, int]]    # (name, column of `modes`)
+
+
+def _window_files(w: ana.WindowAnalysis) -> _WindowFiles:
+    """The _WindowFiles of a window that has just completed; the mode
+    norms are computed once, for the amplitudes and the spectrum."""
+    k = w.window_index
+    steps = f"| {k} | {w.start_step}-{w.end_step}"
+    if w.degenerate:
+        # no amplitudes: a NaN maximum, a blank top 5, a header-only spectrum and no modes
+        return _WindowFiles(k, True, np.nan, (k, np.nan, *[""] * 5),
+                            f"{steps} | - | degenerate | - | - |", [f"window {k}: {w.note}"],
+                            None, None, [])
+    result = w.result
+    norms = np.linalg.norm(result.modes, axis=0)
+    amps = np.abs(result.amplitudes) * norms   # amplitude_magnitudes(), with the norms kept
+    slow, fast = ana.split_timescales(result)
+    top5 = amps[:5].tolist()   # column 0's is the maximum (see DmdResult)
+    # the columns in dominance order (see DmdResult): dominant_1 is column 0
+    named = [(f"dominant_{j + 1}", j) for j in range(min(5, result.rank))]
+    warnings = []
+    try:
+        named.append(("zero_frequency", ana.zero_frequency_mode(result).index))
+    except KoopnetError:
+        warnings.append(f"window {k}: no zero-frequency mode")
+    # the named columns, each once, copied out of the result
+    columns = list(dict.fromkeys(j for _, j in named))
+    return _WindowFiles(
+        k, False, top5[0], (k, top5[0], *top5, *[""] * (5 - len(top5))),
+        f"{steps} | {result.rank} | {top5[0]:.4g} | {len(slow)} | {len(fast)} |", warnings,
+        (result.eigenvalues_discrete, result.eigenvalues_continuous, amps, norms,
+         result.zero_flags, slow),
+        result.modes[:, columns], [(name, columns.index(j)) for name, j in named])
+
+
+def _analyzed(blocks, windows: list[_WindowFiles], dt: float, args: argparse.Namespace):
+    """`blocks`, passed on as they are, while the window of each
+    --window/--stride/--rank that they complete is decomposed and its
+    _WindowFiles appended to `windows`."""
+    return ana._stream_windows(blocks, lambda w: windows.append(_window_files(w)), dt,
+                               args.window, args.stride, args.rank)
+
+
+def _spectrum_rows(lambdas, mus, amps, norms, zero_flags, slow):
+    """One spectrum row per retained mode, from Python scalars: the
+    arrays are a DmdResult's columns, `amps` its amplitude_magnitudes()
+    and `norms` its mode norms, `slow` split_timescales' slow group; a
+    zero-flagged mode's re_mu and im_mu are NaN, its group 'excluded'."""
+    columns = (lambdas.tolist(), mus.tolist(), amps.tolist(), norms.tolist(), zero_flags.tolist())
     for k, (lam, mu, amp, norm, zero) in enumerate(zip(*columns)):
         group = "excluded" if zero else "slow" if k in slow else "fast"
         yield (lam.real, lam.imag, mu.real, mu.imag, amp, norm, group)
@@ -92,60 +148,49 @@ def _mode_lines(labels: list[str], modes: np.ndarray, named):
     `modes`. A column named twice (the zero-frequency mode is often a
     dominant one too) is formatted once. Python's abs(complex), like
     numpy's scalar abs, is hypot(re, im); np.abs over a complex array
-    can round the last bit differently."""
+    can round the last bit differently. A real column, every imaginary
+    part +-0.0, formats each real part once: hypot(x, +-0.0) is |x|
+    exactly, so abs_v is re_v's text without its sign."""
     cells: dict[int, list[str]] = {}
     for name, j in named:
         if j not in cells:
-            cells[j] = [f"{node},{v.real!r},{v.imag!r},{abs(v)!r}"
-                        for node, v in zip(labels, modes[:, j].tolist())]
+            column = modes[:, j]
+            if np.all(column.imag == 0):
+                signs = np.signbit(column.imag).tolist()
+                cells[j] = [f"{node},{x},{'-0.0' if neg else '0.0'},{x.removeprefix('-')}"
+                            for node, x, neg in zip(labels, map(repr, column.real.tolist()),
+                                                     signs)]
+            else:
+                cells[j] = [f"{node},{v.real!r},{v.imag!r},{abs(v)!r}"
+                            for node, v in zip(labels, column.tolist())]
         yield from (f"{name},{cell}" for cell in cells[j])
 
 
 def cmd_analyze(record: tuple, args: argparse.Namespace) -> None:
     """From a record's (n_snapshots, labels, dt, windows), as simulated or
-    read, write the spectrum and mode files of every window,
-    amplitudes.csv, transition.csv and report.md to the output directory."""
+    read, with the _WindowFiles of each window, write the spectrum and
+    mode files of every window, amplitudes.csv, transition.csv and
+    report.md to the output directory."""
     n_snapshots, labels, dt, windows = record
     report = ana.detect_transition(windows, jump_threshold=args.jump_threshold)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    warnings: list[str] = []
-    amp_rows = []
-    table = []  # report.md's row of each window
     focus = None  # the last analyzable window up to the transition
     for w in windows:
-        spectrum = out / f"spectrum_w{w.window_index}.csv"
-        steps = f"| {w.window_index} | {w.start_step}-{w.end_step}"
+        kio.write_csv(out / f"spectrum_w{w.window_index}.csv", _SPECTRUM_HEADER,
+                      [] if w.degenerate else _spectrum_rows(*w.spectrum))
         if w.degenerate:
-            # no amplitudes: a NaN maximum, a blank top 5 and a header-only spectrum
-            amp_rows.append((w.window_index, np.nan, *[""] * 5))
-            kio.write_csv(spectrum, _SPECTRUM_HEADER, [])
-            warnings.append(f"window {w.window_index}: {w.note}")
-            table.append(f"{steps} | - | degenerate | - | - |")
             continue
-        amps = w.result.amplitude_magnitudes()  # column 0's is the maximum (see DmdResult)
-        slow, fast = ana.split_timescales(w.result)
-        top5 = amps[:5].tolist()
-        amp_rows.append((w.window_index, top5[0], *top5, *[""] * (5 - len(top5))))
-        kio.write_csv(spectrum, _SPECTRUM_HEADER, _spectrum_rows(w.result, amps, slow, fast))
-        table.append(f"{steps} | {w.result.rank} | {top5[0]:.4g} | {len(slow)} | {len(fast)} |")
         if report.transition_window is None or w.window_index <= report.transition_window:
             focus = w
-
-        # the columns in dominance order (see DmdResult): dominant_1 is column 0
-        named = [(f"dominant_{j + 1}", j) for j in range(min(5, w.result.rank))]
-        try:
-            named.append(("zero_frequency", ana.zero_frequency_mode(w.result).index))
-        except KoopnetError:
-            warnings.append(f"window {w.window_index}: no zero-frequency mode")
         kio.write_csv(out / f"modes_w{w.window_index}.csv",
                       ["mode", "node", "re_v", "im_v", "abs_v"],
-                      _mode_lines(labels, w.result.modes, named))
+                      _mode_lines(labels, w.modes, w.named))
 
     kio.write_csv(out / "amplitudes.csv",
-                  ["window_index", "max_amplitude",
-                   "amp_1", "amp_2", "amp_3", "amp_4", "amp_5"], amp_rows)
+                  ["window_index", "max_amplitude", "amp_1", "amp_2", "amp_3", "amp_4", "amp_5"],
+                  [w.amplitudes for w in windows])
 
     transition_rows = []
     if report.transition_window is not None:
@@ -155,12 +200,14 @@ def cmd_analyze(record: tuple, args: argparse.Namespace) -> None:
 
     kio.atomic_write_text(out / "report.md",
                           _render_report(f"{n_snapshots} x {len(labels)}, dt = {dt}",
-                                         table, focus, report, warnings, args.jump_threshold))
+                                         [w.table for w in windows], focus, report,
+                                         [text for w in windows for text in w.warnings],
+                                         args.jump_threshold))
 
 
 def _render_report(shape: str, table, focus, report, warnings, jump_threshold) -> str:
-    """report.md's text, from cmd_analyze's table rows (one per window)
-    and `focus`, the window whose dominant mode's groups it lists."""
+    """report.md's text, from the windows' table rows and `focus`, the
+    _WindowFiles whose dominant mode's groups it lists."""
     lines = ["# Windowed spectral analysis", ""]
     lines.append(f"- snapshots: {shape}")
     lines.append(f"- windows analyzed: {len(table)}")
@@ -174,7 +221,7 @@ def _render_report(shape: str, table, focus, report, warnings, jump_threshold) -
     lines += ["", "| window | steps | rank | max amplitude | slow | fast |",
               "|---|---|---|---|---|---|", *table]
     if focus is not None:
-        pattern = ana.spatial_pattern(focus.result.modes[:, 0])
+        pattern = ana.spatial_pattern(focus.modes[:, 0])
         sizable = [g for g in pattern.groups if len(g) > 1]
         lines.append("")
         lines.append(f"Dominant mode of window {focus.window_index}: "
@@ -213,7 +260,7 @@ def _read_record(args: argparse.Namespace) -> tuple:
     _check_positive("dt", dt, DomainError)
     labels, blocks = kio.read_snapshots(path)
     windows = []
-    blocks = ana._stream_windows(blocks, windows, dt, args.window, args.stride, args.rank)
+    blocks = _analyzed(blocks, windows, dt, args)
     # pull every block: rows after the last window are checked too
     n_snapshots = sum(block.shape[0] for block in blocks)
     ana._check_length(n_snapshots, args.window)

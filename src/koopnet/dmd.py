@@ -245,6 +245,8 @@ def _kernel(x: np.ndarray, rank: int | None,
     if want and (basis := _gram_basis(x, want)):
         return basis
     u, s, vh = _svd(x)
+    if s.size and s[0] == np.inf:
+        raise DegenerateDataError("the largest singular value overflows")
     tol = s[0] * size * np.finfo(float).eps if s.size else 0.0
     r_num = int(np.count_nonzero(s > tol))
     if r_num == 0:
@@ -291,8 +293,9 @@ def dmd(x: np.ndarray, xp: np.ndarray, rank: int | None = None, dt: float = 1.0)
     mode U_r w_k instead: dividing by a lambda_k that is rounding noise
     would return a noise vector. Amplitudes solve modes @ b ~ first
     snapshot in the least-squares sense. The columns are sorted into
-    DmdResult's dominance order. Non-finite x or xp raise DomainError,
-    and a window with no snapshot pairs raises DegenerateDataError.
+    DmdResult's dominance order. Non-finite x or xp raise DomainError.
+    A window with no snapshot pairs, or one whose sigma_1 or Xp V S^-1
+    overflows, raises DegenerateDataError.
 
     The decomposition runs on one OpenBLAS thread, so its bits do not
     depend on OPENBLAS_NUM_THREADS, and the previous count is restored
@@ -317,8 +320,11 @@ def dmd(x: np.ndarray, xp: np.ndarray, rank: int | None = None, dt: float = 1.0)
     with _one_blas_thread():
         u_r, s, v_r = _basis(x, rank)
         r = u_r.shape[1]
-        b_mat = xp @ v_r
-        b_mat /= s[:r]                            # Xp V S^-1
+        with np.errstate(over="ignore", invalid="ignore"):
+            b_mat = xp @ v_r
+            b_mat /= s[:r]                        # Xp V S^-1
+        if not _all_finite(b_mat):
+            raise DegenerateDataError(f"X' V S^-1 overflows (sigma_{r} = {s[r - 1]:.3g})")
         a_tilde = u_r.T @ b_mat
         lambdas, w = np.linalg.eig(a_tilde)
         lambdas = lambdas.astype(complex)   # eig returns float when all real

@@ -1,5 +1,5 @@
 """scripts/bench_pairs.py: which commit each side of a pair run is
-recorded under."""
+recorded under, and when a metric meets the gain rule."""
 
 import importlib.util
 import json
@@ -67,3 +67,27 @@ def test_uncommitted_side_is_marked_dirty(checkout, tmp_path, monkeypatch, capsy
                              "--workload", "w", "--seeds", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["end_to_end"]["w"]["commits"] == {"parent": head, "change": f"{head}+dirty"}
+
+
+PARENT = [10.0, 10.2, 10.4, 10.6, 10.8, 11.0, 11.2, 11.4, 11.6, 11.8]  # IQR 0.9
+
+
+@pytest.mark.parametrize("change, better, met", [
+    # 10 of 10 pairs, median 1.0 better against an IQR of 0.9
+    ([v - 1.0 for v in PARENT], "lower", True),
+    ([v + 1.0 for v in PARENT], "higher", True),
+    # 9 of 10 pairs still meet it
+    ([v - 1.0 for v in PARENT[:9]] + [PARENT[9] + 1.0], "lower", True),
+    # 8 of 10 pairs do not, however large the gap
+    ([v - 5.0 for v in PARENT[:8]] + [v + 1.0 for v in PARENT[8:]], "lower", False),
+    # every pair won, but by a median gap of 0.5, inside the IQR
+    ([v - 0.5 for v in PARENT], "lower", False),
+    # a gap equal to the IQR is not larger than it
+    ([v - 0.9 for v in PARENT], "lower", False),
+    # better in the other direction
+    ([v - 1.0 for v in PARENT], "higher", False),
+])
+def test_gain_rule(change, better, met):
+    result = bench_pairs.compare(PARENT, change, better)
+    assert result["parent_iqr"] == 0.9
+    assert result["gain_rule_met"] is met

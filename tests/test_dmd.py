@@ -637,6 +637,20 @@ class TestDmdExamples:
         with pytest.raises(DomainError):
             dmd(np.ones((3, 4)), np.ones((3, 4)), dt=0.0)
 
+    def test_overflowing_lift_is_degenerate(self):
+        # finite data whose sigma_1 = 3.2e-320 is subnormal: Xp V S^-1
+        # overflows, and the reduced operator would be inf for eig
+        with pytest.raises(DegenerateDataError,
+                           match=r"X' V S\^-1 overflows \(sigma_1 = 3.16e-320\)"):
+            dmd([[1e-320], [3e-320]], [[1.0], [2.0]])
+
+    @pytest.mark.parametrize("value", [1e308, -1e308])
+    def test_overflowing_singular_value_is_named(self, value):
+        # sqrt(12) * 1e308 has no float: sigma_1 is inf, not below tolerance
+        x = np.full((3, 4), value)
+        with pytest.raises(DegenerateDataError, match="largest singular value overflows"):
+            dmd(x, 0.5 * x)
+
 
 class TestOracleEquivalence:
     @settings(max_examples=200, deadline=None)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib.util
+import itertools
 import sys
 import tempfile
 from pathlib import Path
@@ -18,6 +19,7 @@ from koopnet import (
     IfoParams,
     KoopnetError,
     SnapshotMatrix,
+    bak_sneppen,
 )
 from koopnet.analysis import (dominant_modes, split_timescales, windowed_dmd,
                               zero_frequency_mode)
@@ -352,7 +354,8 @@ class TestAnalysisCells:
                            eigenvalues_continuous=_log_map(lambdas, zero, 1.0),
                            modes=np.eye(2, dtype=complex), amplitudes=np.array([2.0, 1.0 + 0j]),
                            singular_values=np.array([1.0, 0.5]), dt=1.0, zero_flags=zero)
-        rows = list(_spectrum_rows(result, result.amplitude_magnitudes(), [0], []))
+        rows = list(_spectrum_rows(lambdas, result.eigenvalues_continuous,
+                                   result.amplitude_magnitudes(), np.ones(2), zero, [0]))
         assert rows[0][2:4] == (np.log(0.5 + 0.25j).real, np.log(0.5 + 0.25j).imag)
         assert rows[0][6] == "slow"
         assert [repr(v) for v in rows[1][2:4]] == ["nan", "nan"]
@@ -368,6 +371,17 @@ class TestAnalysisCells:
         named = [("dominant_1", 0), ("dominant_2", 1), ("zero_frequency", 0)]
         assert list(_mode_lines(["n0", "n1"], modes, named)) == [
             line for name, j in named for line in mode_oracle(name, ["n0", "n1"], modes[:, j])]
+
+    def test_real_column_matches_complex_formatting(self):
+        # every imaginary part +-0.0: re_v is formatted once, im_v read
+        # from the sign bit and abs_v is re_v without its sign
+        real = np.array([-0.3, 0.0, -0.0, 1e-300, -2.5e-8, 0.1 + 0.2, -7.0, 5e-324]) + 0j
+        real.imag = [-0.0, 0.0, -0.0, 0.0, 0.0, -0.0, -0.0, 0.0]
+        assert (real.real < 0).any() and np.signbit(real.imag).any()
+        labels = [f"n{i}" for i in range(real.size)]
+        lines = list(_mode_lines(labels, real[:, None], [("dominant_1", 0)]))
+        assert lines == [f"dominant_1,{node},{v.real!r},{v.imag!r},{abs(v)!r}"
+                         for node, v in zip(labels, real.tolist())]
 
     def test_abs_is_the_scalar_hypot(self, tmp_path):
         # np.abs over a complex array rounds this value's last digit
@@ -489,6 +503,17 @@ class TestCli:
         assert not (tmp_path / "modes_w0.csv").exists()
         assert (tmp_path / "modes_w1.csv").exists()
 
+    def test_analyze_flags_a_window_whose_lift_overflows(self, tmp_path):
+        # window 1 pairs (1e-320, 3e-320) with (1, 2): its Xp V S^-1
+        # overflows, which numpy's eig used to report as a traceback
+        path = tmp_path / "snapshots.csv"
+        path.write_text("n0,n1\n1e-320,1e-320\n2e-320,1e-320\n1e-320,3e-320\n1,2\n")
+        assert main(["analyze", str(path), "--window", "2"]) == 0
+        report = (tmp_path / "report.md").read_text().splitlines()
+        assert "| 1 | 2-4 | - | degenerate | - | - |" in report
+        assert report[report.index("## Warnings") + 1] == (
+            "- window 1: degenerate window: X' V S^-1 overflows (sigma_1 = 3.16e-320)")
+
     def test_analyze_writes_header_labels_in_mode_files(self, tmp_path):
         # the labels reach the node column of modes_w*.csv and nothing
         # else: the report's groups are node index ranges
@@ -587,6 +612,33 @@ class TestCli:
         assert main(["analyze", str(staged / "snapshots.csv"), *analysis_args]) == 0
         assert len(read_dir_bytes(piped)) == 3 + 2 * n_windows + 3
         assert read_dir_bytes(piped) == read_dir_bytes(staged)
+
+    def test_report_warnings_keep_window_order(self, tmp_path, monkeypatch):
+        # Bak-Sneppen states stand-in: random rows, but zeros through
+        # window 1 (degenerate) and +-v alternating through window 3 (its
+        # one mode has lambda = -1, so no zero-frequency mode)
+        def states(params, min_history):
+            rng = np.random.default_rng(params.seed)
+            state, v = np.empty(params.n), np.linspace(1.0, 2.0, params.n)
+            for step in itertools.count():
+                window = step // 40
+                state[:] = (0.0 if window == 1 else (-1.0) ** step * v if window == 3
+                            else rng.random(params.n))
+                min_history.append(int(state.argmin()))
+                yield state
+
+        monkeypatch.setattr(bak_sneppen, "_states", states)
+        model_args = ["--model", "bs", "--n", "10", "--steps", "200", "--seed", "4"]
+        piped, staged = tmp_path / "piped", tmp_path / "staged"
+        assert main(["pipeline", *model_args, "--window", "40", "--out", str(piped)]) == 0
+        assert main(["simulate", *model_args, "--out", str(staged)]) == 0
+        assert main(["analyze", str(staged / "snapshots.csv"), "--window", "40"]) == 0
+        assert read_dir_bytes(piped) == read_dir_bytes(staged)
+        report = (piped / "report.md").read_text().splitlines()
+        assert report[report.index("## Warnings"):] == [
+            "## Warnings",
+            "- window 1: degenerate window: all singular values are below tolerance",
+            "- window 3: no zero-frequency mode"]
 
     @pytest.mark.parametrize("window_args, message", [
         (["--steps", "300", "--window", "200"], "need >= 2 windows, got 1"),

@@ -32,7 +32,7 @@ def stream(data, block_rows, window_len, stride, rank, dt):
     as a simulator yields them; checks every block is passed on as is."""
     blocks = [data[i:i + block_rows].copy() for i in range(0, data.shape[0], block_rows)]
     windows = []
-    passed = list(_stream_windows(iter(blocks), windows, dt, window_len, stride, rank))
+    passed = list(_stream_windows(iter(blocks), windows.append, dt, window_len, stride, rank))
     assert len(passed) == len(blocks)
     assert all(a is b for a, b in zip(passed, blocks))
     return windows
@@ -172,14 +172,15 @@ class TestSimulatorBlocks:
                        for i, a in enumerate(blocks) for b in blocks[i + 1:])
 
 
-def bs_args(out: Path, steps: int) -> list[str]:
-    return ["--model", "bs", "--n", "100", "--steps", str(steps), "--seed", "1", "--out", str(out)]
+def bs_args(out: Path, steps: int, n: int = 100) -> list[str]:
+    return ["--model", "bs", "--n", str(n), "--steps", str(steps), "--seed", "1",
+            "--out", str(out)]
 
 
-def pipeline_peak(out: Path, steps: int) -> int:
+def pipeline_peak(out: Path, steps: int, *flags: str, n: int = 100) -> int:
     tracemalloc.start()
     try:
-        assert main(["pipeline", *bs_args(out, steps)]) == 0
+        assert main(["pipeline", *bs_args(out, steps, n), *flags]) == 0
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -192,11 +193,11 @@ def test_pipeline_memory_does_not_grow_with_the_record(tmp_path):
     assert grow < 0.5 * 6000 * 100 * 8
 
 
-def analyze_peak(out: Path, steps: int) -> int:
-    assert main(["simulate", *bs_args(out, steps)]) == 0
+def analyze_peak(out: Path, steps: int, *flags: str, n: int = 100) -> int:
+    assert main(["simulate", *bs_args(out, steps, n)]) == 0
     tracemalloc.start()
     try:
-        assert main(["analyze", str(out / "snapshots.csv")]) == 0
+        assert main(["analyze", str(out / "snapshots.csv"), *flags]) == 0
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -207,6 +208,19 @@ def test_analyze_memory_does_not_grow_with_the_record(tmp_path):
     # come, so it holds no more of the record than the pipeline does
     grow = analyze_peak(tmp_path / "long", 8000) - analyze_peak(tmp_path / "short", 2000)
     assert grow < 0.5 * 6000 * 100 * 8
+
+
+@pytest.mark.parametrize("peak", [pipeline_peak, analyze_peak], ids=["pipeline", "analyze"])
+def test_each_window_keeps_less_than_eight_mode_columns(tmp_path, peak):
+    # until the files are written, a window keeps its spectrum's inputs,
+    # its amplitudes.csv and report.md rows, its warnings and the at most
+    # 6 mode columns modes_w<k>.csv names; with its whole DmdResult it
+    # kept 16 columns of 400 complex entries and sigma. The runs have 10
+    # and 50 windows of rank 16; a first run takes the lazy imports
+    n, flags = 400, ("--window", "50")
+    peak(tmp_path / "first", 500, *flags, n=n)
+    grow = peak(tmp_path / "long", 2500, *flags, n=n) - peak(tmp_path / "short", 500, *flags, n=n)
+    assert grow < (50 - 10) * 8 * n * np.dtype(complex).itemsize
 
 
 def test_snapshot_writer_streams_its_lines(tmp_path):
