@@ -294,8 +294,9 @@ def dmd(x: np.ndarray, xp: np.ndarray, rank: int | None = None, dt: float = 1.0)
     would return a noise vector. Amplitudes solve modes @ b ~ first
     snapshot in the least-squares sense. The columns are sorted into
     DmdResult's dominance order. Non-finite x or xp raise DomainError.
-    A window with no snapshot pairs, or one whose sigma_1 or Xp V S^-1
-    overflows, raises DegenerateDataError.
+    A window with no snapshot pairs raises DegenerateDataError, and so
+    does finite data whose sigma_1, Xp V S^-1, reduced operator or
+    lifted modes overflow.
 
     The decomposition runs on one OpenBLAS thread, so its bits do not
     depend on OPENBLAS_NUM_THREADS, and the previous count is restored
@@ -323,17 +324,24 @@ def dmd(x: np.ndarray, xp: np.ndarray, rank: int | None = None, dt: float = 1.0)
         with np.errstate(over="ignore", invalid="ignore"):
             b_mat = xp @ v_r
             b_mat /= s[:r]                        # Xp V S^-1
+            a_tilde = u_r.T @ b_mat
+        # an overflow here would reach eig or lstsq as inf or NaN, and
+        # LAPACK would fail on it
         if not _all_finite(b_mat):
             raise DegenerateDataError(f"X' V S^-1 overflows (sigma_{r} = {s[r - 1]:.3g})")
-        a_tilde = u_r.T @ b_mat
+        if not _all_finite(a_tilde):
+            raise DegenerateDataError("the reduced operator U^T X' V S^-1 overflows")
         lambdas, w = np.linalg.eig(a_tilde)
         lambdas = lambdas.astype(complex)   # eig returns float when all real
         w = w.astype(complex)
 
         zero_flags = np.abs(lambdas) <= _zero_tolerance(lambdas)
-        modes = b_mat @ (w / np.where(zero_flags, 1.0, lambdas))
-        modes[:, zero_flags] = u_r @ w[:, zero_flags]
-        norms = np.linalg.norm(modes, axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            modes = b_mat @ (w / np.where(zero_flags, 1.0, lambdas))
+            modes[:, zero_flags] = u_r @ w[:, zero_flags]
+            norms = np.linalg.norm(modes, axis=0)
+        if not _all_finite(norms):
+            raise DegenerateDataError("a lifted mode X' V S^-1 w / lambda overflows")
         modes /= np.where(norms > 0, norms, 1.0)
 
         amplitudes, *_ = np.linalg.lstsq(modes, x[:, 0].astype(complex), rcond=None)

@@ -637,12 +637,20 @@ class TestDmdExamples:
         with pytest.raises(DomainError):
             dmd(np.ones((3, 4)), np.ones((3, 4)), dt=0.0)
 
-    def test_overflowing_lift_is_degenerate(self):
-        # finite data whose sigma_1 = 3.2e-320 is subnormal: Xp V S^-1
-        # overflows, and the reduced operator would be inf for eig
-        with pytest.raises(DegenerateDataError,
-                           match=r"X' V S\^-1 overflows \(sigma_1 = 3.16e-320\)"):
-            dmd([[1e-320], [3e-320]], [[1.0], [2.0]])
+    @pytest.mark.parametrize("x, xp, message", [
+        # sigma_1 = 3.2e-320 is subnormal: Xp V S^-1 overflows
+        ([[1e-320], [3e-320]], [[1.0], [2.0]], r"X' V S\^-1 overflows \(sigma_1 = 3.16e-320\)"),
+        # Xp V S^-1 = 1e308 in each of 4 rows, but U^T of it is 2e308
+        (np.full((4, 1), 1e-300), np.full((4, 1), 2e8),
+         r"the reduced operator U\^T X' V S\^-1 overflows"),
+        # lambda = 1e-7 is no zero, and dividing Xp V S^-1's 1e305 by it overflows
+        ([[1e-300], [0.0]], [[1e-307], [1e5]], r"a lifted mode X' V S\^-1 w / lambda overflows"),
+    ], ids=["xp-v-s", "reduced-operator", "lifted-mode"])
+    def test_overflow_on_finite_data_is_degenerate(self, x, xp, message):
+        # the inf or NaN would otherwise reach eig or lstsq, whose
+        # LinAlgError used to escape
+        with pytest.raises(DegenerateDataError, match=message):
+            dmd(x, xp)
 
     @pytest.mark.parametrize("value", [1e308, -1e308])
     def test_overflowing_singular_value_is_named(self, value):
