@@ -93,8 +93,7 @@ class _WindowFiles(NamedTuple):
 
 
 def _window_files(w: ana.WindowAnalysis) -> _WindowFiles:
-    """The _WindowFiles of a window that has just completed; the mode
-    norms are computed once, for the amplitudes and the spectrum."""
+    """The _WindowFiles of a window that has just completed."""
     k = w.window_index
     steps = f"| {k} | {w.start_step}-{w.end_step}"
     if w.degenerate:
@@ -103,8 +102,7 @@ def _window_files(w: ana.WindowAnalysis) -> _WindowFiles:
                             f"{steps} | - | degenerate | - | - |", [f"window {k}: {w.note}"],
                             None, None, [])
     result = w.result
-    norms = np.linalg.norm(result.modes, axis=0)
-    amps = np.abs(result.amplitudes) * norms   # amplitude_magnitudes(), with the norms kept
+    amps = result.amplitude_magnitudes()
     slow, fast = ana.split_timescales(result)
     top5 = amps[:5].tolist()   # column 0's is the maximum (see DmdResult)
     # the columns in dominance order (see DmdResult): dominant_1 is column 0
@@ -119,8 +117,8 @@ def _window_files(w: ana.WindowAnalysis) -> _WindowFiles:
     return _WindowFiles(
         k, False, top5[0], (k, top5[0], *top5, *[""] * (5 - len(top5))),
         f"{steps} | {result.rank} | {top5[0]:.4g} | {len(slow)} | {len(fast)} |", warnings,
-        (result.eigenvalues_discrete, result.eigenvalues_continuous, amps, norms,
-         result.zero_flags, slow),
+        (result.eigenvalues_discrete, result.eigenvalues_continuous, amps,
+         np.linalg.norm(result.modes, axis=0), result.zero_flags, slow),
         result.modes[:, columns], [(name, columns.index(j)) for name, j in named])
 
 
@@ -148,21 +146,12 @@ def _mode_lines(labels: list[str], modes: np.ndarray, named):
     `modes`. A column named twice (the zero-frequency mode is often a
     dominant one too) is formatted once. Python's abs(complex), like
     numpy's scalar abs, is hypot(re, im); np.abs over a complex array
-    can round the last bit differently. A real column, every imaginary
-    part +-0.0, formats each real part once: hypot(x, +-0.0) is |x|
-    exactly, so abs_v is re_v's text without its sign."""
+    can round the last bit differently."""
     cells: dict[int, list[str]] = {}
     for name, j in named:
         if j not in cells:
-            column = modes[:, j]
-            if np.all(column.imag == 0):
-                signs = np.signbit(column.imag).tolist()
-                cells[j] = [f"{node},{x},{'-0.0' if neg else '0.0'},{x.removeprefix('-')}"
-                            for node, x, neg in zip(labels, map(repr, column.real.tolist()),
-                                                     signs)]
-            else:
-                cells[j] = [f"{node},{v.real!r},{v.imag!r},{abs(v)!r}"
-                            for node, v in zip(labels, column.tolist())]
+            cells[j] = [f"{node},{v.real!r},{v.imag!r},{abs(v)!r}"
+                        for node, v in zip(labels, modes[:, j].tolist())]
         yield from (f"{name},{cell}" for cell in cells[j])
 
 

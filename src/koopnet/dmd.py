@@ -326,11 +326,11 @@ def dmd(x: np.ndarray, xp: np.ndarray, rank: int | None = None, dt: float = 1.0)
             b_mat /= s[:r]                        # Xp V S^-1
             a_tilde = u_r.T @ b_mat
         # an overflow here would reach eig or lstsq as inf or NaN, and
-        # LAPACK would fail on it
-        if not _all_finite(b_mat):
-            raise DegenerateDataError(f"X' V S^-1 overflows (sigma_{r} = {s[r - 1]:.3g})")
+        # LAPACK would fail on it; an inf in Xp V S^-1 makes the reduced
+        # operator inf or NaN (0 * inf) or, past a zero row of U, the modes
         if not _all_finite(a_tilde):
-            raise DegenerateDataError("the reduced operator U^T X' V S^-1 overflows")
+            raise DegenerateDataError("X' V S^-1 or the reduced operator U^T X' V S^-1 "
+                                      f"overflows (sigma_{r} = {s[r - 1]:.3g})")
         lambdas, w = np.linalg.eig(a_tilde)
         lambdas = lambdas.astype(complex)   # eig returns float when all real
         w = w.astype(complex)
@@ -340,8 +340,14 @@ def dmd(x: np.ndarray, xp: np.ndarray, rank: int | None = None, dt: float = 1.0)
             modes = b_mat @ (w / np.where(zero_flags, 1.0, lambdas))
             modes[:, zero_flags] = u_r @ w[:, zero_flags]
             norms = np.linalg.norm(modes, axis=0)
-        if not _all_finite(norms):
-            raise DegenerateDataError("a lifted mode X' V S^-1 w / lambda overflows")
+        big = ~np.isfinite(norms)
+        if big.any():
+            if not _all_finite(modes[:, big]):
+                raise DegenerateDataError("a lifted mode X' V S^-1 w / lambda overflows")
+            # finite entries whose sum of squares overflows: scale the
+            # column by its largest |entry| first
+            modes[:, big] /= np.abs(modes[:, big]).max(axis=0)
+            norms[big] = np.linalg.norm(modes[:, big], axis=0)
         modes /= np.where(norms > 0, norms, 1.0)
 
         amplitudes, *_ = np.linalg.lstsq(modes, x[:, 0].astype(complex), rcond=None)

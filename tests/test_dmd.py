@@ -639,10 +639,11 @@ class TestDmdExamples:
 
     @pytest.mark.parametrize("x, xp, message", [
         # sigma_1 = 3.2e-320 is subnormal: Xp V S^-1 overflows
-        ([[1e-320], [3e-320]], [[1.0], [2.0]], r"X' V S\^-1 overflows \(sigma_1 = 3.16e-320\)"),
+        ([[1e-320], [3e-320]], [[1.0], [2.0]],
+         r"X' V S\^-1 or the reduced operator .* overflows \(sigma_1 = 3.16e-320\)"),
         # Xp V S^-1 = 1e308 in each of 4 rows, but U^T of it is 2e308
         (np.full((4, 1), 1e-300), np.full((4, 1), 2e8),
-         r"the reduced operator U\^T X' V S\^-1 overflows"),
+         r"X' V S\^-1 or the reduced operator U\^T X' V S\^-1 overflows \(sigma_1 = 2e-300\)"),
         # lambda = 1e-7 is no zero, and dividing Xp V S^-1's 1e305 by it overflows
         ([[1e-300], [0.0]], [[1e-307], [1e5]], r"a lifted mode X' V S\^-1 w / lambda overflows"),
     ], ids=["xp-v-s", "reduced-operator", "lifted-mode"])
@@ -651,6 +652,13 @@ class TestDmdExamples:
         # LinAlgError used to escape
         with pytest.raises(DegenerateDataError, match=message):
             dmd(x, xp)
+
+    def test_finite_mode_whose_squared_norm_overflows_is_kept(self):
+        # lambda = 1e-7 lifts Xp V S^-1's 1e148 to a mode entry of 1e155,
+        # finite, but the sum of its squares overflows
+        result = dmd([[1e-300], [0.0]], [[1e-307], [1e-152]])
+        assert result.rank == 1 and not result.zero_flags[0]
+        np.testing.assert_allclose(result.modes[:, 0], [1e-155, 1.0], rtol=1e-12)
 
     @pytest.mark.parametrize("value", [1e308, -1e308])
     def test_overflowing_singular_value_is_named(self, value):

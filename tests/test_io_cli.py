@@ -372,17 +372,6 @@ class TestAnalysisCells:
         assert list(_mode_lines(["n0", "n1"], modes, named)) == [
             line for name, j in named for line in mode_oracle(name, ["n0", "n1"], modes[:, j])]
 
-    def test_real_column_matches_complex_formatting(self):
-        # every imaginary part +-0.0: re_v is formatted once, im_v read
-        # from the sign bit and abs_v is re_v without its sign
-        real = np.array([-0.3, 0.0, -0.0, 1e-300, -2.5e-8, 0.1 + 0.2, -7.0, 5e-324]) + 0j
-        real.imag = [-0.0, 0.0, -0.0, 0.0, 0.0, -0.0, -0.0, 0.0]
-        assert (real.real < 0).any() and np.signbit(real.imag).any()
-        labels = [f"n{i}" for i in range(real.size)]
-        lines = list(_mode_lines(labels, real[:, None], [("dominant_1", 0)]))
-        assert lines == [f"dominant_1,{node},{v.real!r},{v.imag!r},{abs(v)!r}"
-                         for node, v in zip(labels, real.tolist())]
-
     def test_abs_is_the_scalar_hypot(self, tmp_path):
         # np.abs over a complex array rounds this value's last digit
         # differently from the scalar abs the files have always used
@@ -512,7 +501,8 @@ class TestCli:
         report = (tmp_path / "report.md").read_text().splitlines()
         assert "| 1 | 2-4 | - | degenerate | - | - |" in report
         assert report[report.index("## Warnings") + 1] == (
-            "- window 1: degenerate window: X' V S^-1 overflows (sigma_1 = 3.16e-320)")
+            "- window 1: degenerate window: X' V S^-1 or the reduced operator "
+            "U^T X' V S^-1 overflows (sigma_1 = 3.16e-320)")
 
     def test_analyze_writes_header_labels_in_mode_files(self, tmp_path):
         # the labels reach the node column of modes_w*.csv and nothing
